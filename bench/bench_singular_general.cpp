@@ -60,9 +60,10 @@ int main() {
         latticeMs = bench::timeMs([&] {
           cuts = 0;
           latticeFound = false;
+          const BoundCnf holds = pred.bind(trace);
           lattice::forEachConsistentCut(clocks, [&](const Cut& cut) {
             ++cuts;
-            if (pred.holdsAtCut(trace, cut)) {
+            if (holds(cut)) {
               latticeFound = true;
               return false;
             }

@@ -55,9 +55,7 @@ int main() {
       if (events <= 16) {
         bool latticeFound = false;
         latticeMs = bench::fmtMs(bench::timeMs([&] {
-          latticeFound = lattice::possiblyExhaustive(clocks, [&](const Cut& c) {
-            return pred.holdsAtCut(trace, c);
-          });
+          latticeFound = lattice::possiblyExhaustive(clocks, pred.bind(trace));
         }));
         agree = agree && latticeFound == special.found();
       }

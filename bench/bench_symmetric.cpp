@@ -43,9 +43,7 @@ int main() {
           bool latticeFound = false;
           latticeMs = bench::fmtMs(bench::timeMs([&] {
             latticeFound =
-                lattice::possiblyExhaustive(clocks, [&](const Cut& c) {
-                  return pred.holdsAtCut(trace, c);
-                });
+                lattice::possiblyExhaustive(clocks, pred.bind(trace));
           }));
           agree = latticeFound == witness.has_value() ? "yes" : "NO";
         }

@@ -217,7 +217,7 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
 
   // One lattice sweep feeds both hints: the stability single-event-extension
   // check runs inline, the cuts are collected for the linearity check.
-  const auto phi = [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); };
+  const BoundCnf phi = pred.bind(trace);
   std::vector<Cut> cuts;
   std::vector<char> holds;
   bool capped = false;

@@ -29,6 +29,14 @@ class VectorClocks {
     return clocks_[static_cast<std::size_t>(comp_->node(e)) * n_ + p];
   }
 
+  // The clock row of event {p, index}: n entries, row[q] = V(e)[q]. A
+  // process's events are numbered consecutively, so its rows are contiguous
+  // and n-strided: row(p, i + 1) == row(p, i) + n. The lattice BFS walks
+  // them directly for its enabled() test.
+  const int* row(ProcessId p, int index) const {
+    return &clocks_[static_cast<std::size_t>(comp_->node({p, index})) * n_];
+  }
+
   // The full timestamp of e, as sent on the wire by the online monitor.
   std::vector<int> clockVector(const EventId& e) const {
     const int* row = &clocks_[static_cast<std::size_t>(comp_->node(e)) * n_];

@@ -222,6 +222,17 @@ class Budget {
     return checkDeadline();
   }
 
+  // Give back charges a parallel kernel made past its short-circuit point
+  // (workers racing the lowest-witness watermark), so a Yes reports the
+  // sequential scan's progress. Only the kernel that made the charges may
+  // refund them, after its workers have joined.
+  void refundCuts(std::uint64_t n) {
+    cutsVisited_.fetch_sub(n, std::memory_order_relaxed);
+  }
+  void refundCombinations(std::uint64_t n) {
+    combinationsTried_.fetch_sub(n, std::memory_order_relaxed);
+  }
+
   // Report the current live frontier size of a BFS; tracks the peak and
   // fails once it exceeds maxFrontierBytes.
   bool noteFrontierBytes(std::uint64_t liveBytes) {

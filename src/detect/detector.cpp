@@ -164,9 +164,7 @@ StepRun runSliceFirst(const VectorClocks& clocks, const VariableTrace& trace,
     if (idx > slice.top.last[p]) return false;
     return slice.included(comp.node({p, idx}));
   };
-  const lattice::CutPredicate phi = [&](const Cut& cut) {
-    return pred.holdsAtCut(trace, cut);
-  };
+  const lattice::CutPredicate phi = pred.bind(trace);
   const lattice::CutSearchResult search =
       pool != nullptr ? lattice::findSatisfyingCutParallel(clocks, phi, *pool,
                                                            budget, &admit)
@@ -456,12 +454,7 @@ std::optional<Cut> Detector::possibly(const CnfPredicate& pred) {
         // as such.
         lastAlgorithm_ =
             analyze::toString(analyze::Algorithm::LatticeEnumeration);
-        return searchLattice(
-                   [&](const Cut& cut) {
-                     return pred.holdsAtCut(*trace_, cut);
-                   },
-                   nullptr)
-            .witness;
+        return searchLattice(pred.bind(*trace_), nullptr).witness;
       }
       SliceTrace strace;
       StepRun run = runSliceFirst(clocks_, *trace_, pred, report_.chosen(),
@@ -473,10 +466,7 @@ std::optional<Cut> Detector::possibly(const CnfPredicate& pred) {
     }
     default:
       GPD_CHECK(algo == analyze::Algorithm::LatticeEnumeration);
-      return searchLattice(
-                 [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-                 nullptr)
-          .witness;
+      return searchLattice(pred.bind(*trace_), nullptr).witness;
   }
 }
 
@@ -521,8 +511,8 @@ bool Detector::definitely(const CnfPredicate& pred) {
   const analyze::Algorithm algo = route(analyze::planCnf(
       clocks_, *trace_, pred, analyze::Modality::Definitely, routingOptions()));
   GPD_CHECK(algo == analyze::Algorithm::LatticeDefinitely);
-  const lattice::DefinitelyDecision d = decideLattice(
-      [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); }, nullptr);
+  const lattice::DefinitelyDecision d =
+      decideLattice(pred.bind(*trace_), nullptr);
   GPD_CHECK(d.decided);
   return d.holds;
 }
@@ -535,8 +525,8 @@ bool Detector::definitely(const SumPredicate& pred) {
       pred.relop == Relop::Equal) {
     // Σ = K with |ΔS| > 1: Theorem 7(2) does not apply; decide against the
     // lattice directly (definitelySum would reject the precondition).
-    const lattice::DefinitelyDecision d = decideLattice(
-        [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); }, nullptr);
+    const lattice::DefinitelyDecision d =
+        decideLattice(pred.bind(*trace_), nullptr);
     GPD_CHECK(d.decided);
     return d.holds;
   }
@@ -568,9 +558,8 @@ Detection Detector::possibly(const ConjunctivePredicate& pred,
                                            : std::nullopt);
           }
           case analyze::Algorithm::LatticeEnumeration: {
-            const lattice::CutSearchResult search = searchLattice(
-                [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-                &budget);
+            const lattice::CutSearchResult search =
+                searchLattice(pred.bind(*trace_), &budget);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -640,9 +629,8 @@ Detection Detector::possibly(const CnfPredicate& pred,
             return run;
           }
           case analyze::Algorithm::LatticeEnumeration: {
-            const lattice::CutSearchResult search = searchLattice(
-                [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-                &budget);
+            const lattice::CutSearchResult search =
+                searchLattice(pred.bind(*trace_), &budget);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -685,9 +673,8 @@ Detection Detector::possibly(const SymmetricPredicate& pred,
           case analyze::Algorithm::SymmetricExactSumDisjunction:
             return exactPossibly(possiblySymmetric(clocks_, *trace_, pred));
           case analyze::Algorithm::LatticeEnumeration: {
-            const lattice::CutSearchResult search = searchLattice(
-                [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-                &budget);
+            const lattice::CutSearchResult search =
+                searchLattice(pred.bind(*trace_), &budget);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -711,9 +698,8 @@ Detection Detector::possibly(const BoolExpr& expr, control::Budget& budget) {
             return exactRun(Outcome::No);
           }
           case analyze::Algorithm::LatticeEnumeration: {
-            const lattice::CutSearchResult search = searchLattice(
-                [&](const Cut& cut) { return expr.evaluate(*trace_, cut); },
-                &budget);
+            const lattice::CutSearchResult search =
+                searchLattice(expr.bind(*trace_), &budget);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -734,9 +720,8 @@ Detection Detector::definitely(const ConjunctivePredicate& pred,
             return exactDefinitely(
                 definitelyConjunctive(clocks_, *trace_, pred).holds);
           case analyze::Algorithm::LatticeDefinitely: {
-            const lattice::DefinitelyDecision d = decideLattice(
-                [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-                &budget);
+            const lattice::DefinitelyDecision d =
+                decideLattice(pred.bind(*trace_), &budget);
             if (!d.decided) return stoppedRun();
             return exactDefinitely(d.holds);
           }
@@ -755,9 +740,8 @@ Detection Detector::definitely(const CnfPredicate& pred,
         if (step.algorithm != analyze::Algorithm::LatticeDefinitely) {
           return StepRun{};
         }
-        const lattice::DefinitelyDecision d = decideLattice(
-            [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-            &budget);
+        const lattice::DefinitelyDecision d =
+            decideLattice(pred.bind(*trace_), &budget);
         if (!d.decided) return stoppedRun();
         return exactDefinitely(d.holds);
       });
@@ -781,11 +765,8 @@ Detection Detector::definitely(const SumPredicate& pred,
               // Σ = K with |ΔS| > 1 skips the Theorem 7(2) reduction —
               // decide against the lattice directly, like the unbudgeted
               // path.
-              const lattice::DefinitelyDecision d = decideLattice(
-                  [&](const Cut& cut) {
-                    return pred.holdsAtCut(*trace_, cut);
-                  },
-                  &budget);
+              const lattice::DefinitelyDecision d =
+                  decideLattice(pred.bind(*trace_), &budget);
               if (!d.decided) return stoppedRun();
               return exactDefinitely(d.holds);
             }

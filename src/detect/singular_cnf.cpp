@@ -141,6 +141,13 @@ void enumerateSelectionsParallel(
   }
   const std::uint64_t best = bestIndex.load(std::memory_order_relaxed);
   if (best != UINT64_MAX) {
+    // A Yes reports the sequential scan's progress, best + 1 selections:
+    // claims that raced the watermark are refunded to the budget.
+    const std::uint64_t tried = std::min(result.combinationsTried, best + 1);
+    if (budget != nullptr) {
+      budget->refundCombinations(result.combinationsTried - tried);
+    }
+    result.combinationsTried = tried;
     for (WorkerOut& out : outs) {
       if (out.foundIndex == best) {
         result.found = true;

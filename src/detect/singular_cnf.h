@@ -59,9 +59,11 @@ std::vector<std::vector<EventId>> clauseTrueEvents(
 //
 // With a pool, combinations fan out across the workers in deterministic
 // index order: the verdict, witness (lowest satisfying combination index),
-// combinationsTotal, and complete flag are bit-identical to the sequential
-// scan for any thread count — only combinationsTried/comparisons (progress
-// before the first-Yes short-circuit) may differ. A combination budget caps
+// combinationsTotal, complete flag and combinationsTried (on a Yes, the
+// witness index + 1, also what the budget is left charged with) are
+// bit-identical to the sequential scan for any thread count — only
+// comparisons, summed over every claim a worker made, may differ. A
+// combination budget caps
 // the scanned prefix to exactly the indices the sequential odometer would
 // have charged.
 SingularCnfResult detectSingularByProcessEnumeration(

@@ -152,10 +152,8 @@ ExactSumSearch detectExactSumBudgeted(const VectorClocks& clocks,
                                       control::Budget* budget) {
   GPD_CHECK(pred.relop == Relop::Equal);
   GPD_TRACE_SPAN("detect.sum.exact_search");
-  const lattice::CutSearchResult search = lattice::findSatisfyingCutBudgeted(
-      clocks,
-      [&](const Cut& cut) { return pred.sumAtCut(trace, cut) == pred.k; },
-      budget);
+  const lattice::CutSearchResult search =
+      lattice::findSatisfyingCutBudgeted(clocks, pred.bind(trace), budget);
   ExactSumSearch result;
   result.cut = search.witness;
   result.complete = search.complete;
@@ -178,9 +176,8 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   GPD_TRACE_SPAN("detect.sum.definitely");
   SumDecision result;
   if (pred.relop != Relop::Equal) {
-    const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
-        clocks,
-        [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); }, budget);
+    const lattice::DefinitelyDecision d =
+        lattice::definitelyExhaustiveBudgeted(clocks, pred.bind(trace), budget);
     result.decided = d.decided;
     result.holds = d.decided && d.holds;
     return result;
@@ -194,11 +191,11 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   GPD_CHECK_MSG(maxAbsEventDelta(deltas) <= 1,
                 "Theorem 7(2) requires every event to change the sum by at "
                 "most 1");
-  const auto sumAt = [&](const Cut& cut) { return pred.sumAtCut(trace, cut); };
+  const BoundSum sum(trace, pred.terms);
   bool anyUndecided = false;
   if (deltas.base <= pred.k) {
     const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
-        clocks, [&](const Cut& c) { return sumAt(c) >= pred.k; }, budget);
+        clocks, BoundSumPredicate{sum, Relop::GreaterEq, pred.k}, budget);
     if (d.decided && d.holds) {
       result.holds = true;
       return result;
@@ -207,7 +204,7 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   }
   if (deltas.base >= pred.k) {
     const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
-        clocks, [&](const Cut& c) { return sumAt(c) <= pred.k; }, budget);
+        clocks, BoundSumPredicate{sum, Relop::LessEq, pred.k}, budget);
     if (d.decided && d.holds) {
       result.holds = true;
       return result;

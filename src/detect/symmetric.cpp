@@ -29,9 +29,8 @@ SumDecision definitelySymmetricBudgeted(const VectorClocks& clocks,
                                         const SymmetricPredicate& pred,
                                         control::Budget* budget) {
   GPD_TRACE_SPAN("detect.symmetric.definitely");
-  const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
-      clocks, [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); },
-      budget);
+  const lattice::DefinitelyDecision d =
+      lattice::definitelyExhaustiveBudgeted(clocks, pred.bind(trace), budget);
   SumDecision result;
   result.decided = d.decided;
   result.holds = d.decided && d.holds;

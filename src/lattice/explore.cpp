@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -13,39 +14,251 @@ namespace gpd::lattice {
 
 namespace {
 
-// Expands `cut` by every enabled event, appending the successors that pass
-// `admit` (called with the advanced process) and were not seen before to
-// `next`.
+// The cuts of one BFS level, stored flat (cut i is the n ints at i·n) with
+// their hashes, plus an open-addressing index over them. Insertion
+// deduplicates and keeps first-occurrence order — the order the
+// sequential == pooled == sliced contracts rest on. Buffers and index are
+// reused level after level.
+class Level {
+ public:
+  explicit Level(int n) : n_(n), slots_(64, 0) {}
+
+  std::size_t size() const { return hashes_.size(); }
+  const int* cut(std::size_t i) const { return cuts_.data() + i * n_; }
+  std::uint64_t hash(std::size_t i) const { return hashes_[i]; }
+
+  void clear() {
+    cuts_.clear();
+    hashes_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+
+  // The index slot holding `cut`, or the empty slot where it belongs.
+  std::size_t find(const int* cut, std::uint64_t hash) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = mix(hash) & mask;; s = (s + 1) & mask) {
+      const std::uint32_t entry = slots_[s];
+      if (entry == 0 || (hashes_[entry - 1] == hash &&
+                         std::equal(cut, cut + n_, this->cut(entry - 1)))) {
+        return s;
+      }
+    }
+  }
+  bool occupied(std::size_t slot) const { return slots_[slot] != 0; }
+
+  // Appends `cut` at the empty `slot` find() returned for it.
+  void add(std::size_t slot, const int* cut, std::uint64_t hash) {
+    cuts_.insert(cuts_.end(), cut, cut + n_);
+    hashes_.push_back(hash);
+    slots_[slot] = static_cast<std::uint32_t>(hashes_.size());
+    if (2 * hashes_.size() <= slots_.size()) return;
+    slots_.assign(slots_.size() * 2, 0);  // rehash at load factor 1/2
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = 0; i < hashes_.size(); ++i) {
+      std::size_t s = mix(hashes_[i]) & mask;
+      while (slots_[s] != 0) s = (s + 1) & mask;
+      slots_[s] = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+
+ private:
+  static std::size_t mix(std::uint64_t h) {
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdULL;
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+
+  int n_;
+  std::vector<int> cuts_;
+  std::vector<std::uint64_t> hashes_;
+  std::vector<std::uint32_t> slots_;  // 0 = empty, else index + 1
+};
+
+// One scanner's state: its slice's successors (deduplicated locally), a
+// successor under construction, and the Cut handed to visitors and admits.
+struct Worker {
+  explicit Worker(int n) : next(n), succ(n), view(std::vector<int>(n)) {}
+
+  const Cut& asCut(const int* cut) {
+    view.last.assign(cut, cut + succ.size());
+    return view;
+  }
+
+  Level next;
+  std::vector<int> succ;
+  Cut view;
+  std::uint64_t charged = 0;
+};
+
+// A BFS in progress. Per process it keeps the clock row of the initial
+// event (rows are n-strided, VectorClocks::row), the last event index and a
+// hash weight: a cut hashes to Σ cut[q]·weight[q], so a successor's hash is
+// its parent's plus one weight and ⊥ hashes to 0. expandLevel leaves the
+// next level at `next`, or the position where its visitor stopped.
+struct Bfs {
+  Bfs(const VectorClocks& clocks, par::Pool* p)
+      : n(clocks.computation().processCount()),
+        pool(p),
+        level(n),
+        merged(n),
+        workers(static_cast<std::size_t>(p != nullptr ? p->threads() : 1),
+                Worker(n)) {
+    std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
+    for (ProcessId q = 0; q < n; ++q) {
+      rows.push_back(clocks.row(q, 0));
+      lastIndex.push_back(clocks.computation().eventCount(q) - 1);
+      seed = (seed ^ (seed >> 31)) * 0xbf58476d1ce4e5b9ULL + 1;
+      weights.push_back(seed | 1);
+    }
+    const std::vector<int> bottom(n, 0);
+    level.add(level.find(bottom.data(), 0), bottom.data(), 0);
+  }
+
+  void advance() { std::swap(level, *next); }
+
+  int n;
+  std::vector<const int*> rows;
+  std::vector<int> lastIndex;
+  std::vector<std::uint64_t> weights;
+  par::Pool* pool;
+  Level level;
+  Level merged;
+  std::vector<Worker> workers;
+  Level* next = nullptr;
+  std::uint64_t stopPos = 0;
+};
+
+// Visitor/admit stand-ins the kernel compiles away (no Cut view is built).
+struct VisitAll {};
+struct AdmitAll {};
+
+// Appends every enabled, admitted, unseen successor of `cut` to w.next. An
+// event is enabled iff its clock row is inside the cut on every other
+// process. `admit` is consulted only for a cut not yet in the level.
 template <typename Admit>
-void expand(const VectorClocks& clocks, const Cut& cut,
-            std::unordered_set<Cut>& seen, std::vector<Cut>& next,
-            const Admit& admit) {
-  const Computation& comp = clocks.computation();
-  for (ProcessId p = 0; p < comp.processCount(); ++p) {
-    if (cut.last[p] + 1 >= comp.eventCount(p)) continue;
-    if (!clocks.enabled(p, cut)) continue;
-    Cut succ = cut;
-    ++succ.last[p];
-    if (!admit(p, succ)) continue;
-    if (seen.insert(succ).second) next.push_back(succ);
+void expandCut(const Bfs& bfs, const int* cut, std::uint64_t hash, Worker& w,
+               const Admit& admit) {
+  const int n = bfs.n;
+  int* succ = w.succ.data();
+  for (ProcessId p = 0; p < n; ++p) {
+    const int next = cut[p] + 1;
+    if (next > bfs.lastIndex[p]) continue;
+    const int* row = bfs.rows[p] + static_cast<std::size_t>(next) * n;
+    int q = 0;
+    while (q < n && (row[q] <= cut[q] || q == p)) ++q;
+    if (q != n) continue;
+    std::copy(cut, cut + n, succ);
+    succ[p] = next;
+    const std::uint64_t h = hash + bfs.weights[p];
+    const std::size_t slot = w.next.find(succ, h);
+    if (w.next.occupied(slot)) continue;
+    if constexpr (!std::is_same_v<Admit, AdmitAll>) {
+      if (!admit(p, w.asCut(succ))) continue;
+    }
+    w.next.add(slot, succ, h);
   }
 }
 
-constexpr auto kAdmitAll = [](ProcessId, const Cut&) { return true; };
+// The level-expansion kernel behind every exploration: charges each cut of
+// the current level, offers it to `visit` (false = stop there) and expands
+// it through `admit`, in level order. With a pool, workers scan contiguous
+// slices and their next levels merge in slice order through one index,
+// reproducing the sequential first-occurrence order. A cut budget caps the
+// level to the prefix the sequential scan charges before its CutLimit
+// latch, and charges made past a stop are refunded, so visits and budget
+// progress equal the sequential scan's. Returns true when the next level is
+// complete; otherwise ex.end says why not.
+template <typename Visit, typename Admit>
+bool expandLevel(Bfs& bfs, control::Budget* budget, const Visit& visit,
+                 const Admit& admit, ExploreResult& ex) {
+  const Level& level = bfs.level;
+  const std::uint64_t eligible = std::min<std::uint64_t>(
+      level.size(), budget != nullptr ? budget->remainingCuts() : UINT64_MAX);
+  const std::uint64_t workers = bfs.workers.size();
+  std::atomic<std::uint64_t> stopPos{UINT64_MAX};
+  std::atomic<bool> budgetStop{false};
+  const auto scan = [&](std::size_t w) {
+    Worker& worker = bfs.workers[w];
+    worker.next.clear();
+    worker.charged = 0;
+    const std::uint64_t end = eligible * (w + 1) / workers;
+    for (std::uint64_t pos = eligible * w / workers; pos < end; ++pos) {
+      // The watermark only ever holds real stops, so no position below the
+      // final one is skipped.
+      if (pos > stopPos.load(std::memory_order_relaxed) ||
+          budgetStop.load(std::memory_order_relaxed)) {
+        return;
+      }
+      if (budget != nullptr && !budget->chargeCut()) {
+        budgetStop.store(true, std::memory_order_relaxed);
+        return;
+      }
+      ++worker.charged;
+      const int* cut = level.cut(pos);
+      if constexpr (!std::is_same_v<Visit, VisitAll>) {
+        if (!visit(worker.asCut(cut))) {
+          std::uint64_t cur = stopPos.load(std::memory_order_relaxed);
+          while (pos < cur && !stopPos.compare_exchange_weak(
+                                  cur, pos, std::memory_order_relaxed)) {
+          }
+          return;
+        }
+      }
+      expandCut(bfs, cut, level.hash(pos), worker, admit);
+    }
+  };
+  if (bfs.pool == nullptr) {
+    scan(0);
+  } else {
+    bfs.pool->run([&](int w) {
+      GPD_TRACE_SPAN_NAMED(wspan, "par.lattice_worker");
+      wspan.attrInt("worker", w);
+      scan(static_cast<std::size_t>(w));
+    });
+  }
 
-// Approximate live bytes of one stored cut (vector header + components).
-std::uint64_t cutBytes(const Computation& comp) {
-  return sizeof(Cut) +
-         static_cast<std::uint64_t>(comp.processCount()) * sizeof(int);
+  std::uint64_t charged = 0;
+  for (const Worker& worker : bfs.workers) charged += worker.charged;
+  bfs.stopPos = stopPos.load(std::memory_order_relaxed);
+  if (bfs.stopPos != UINT64_MAX) {
+    const std::uint64_t visited = std::min(charged, bfs.stopPos + 1);
+    ex.cutsVisited += visited;
+    if (budget != nullptr) budget->refundCuts(charged - visited);
+    ex.end = ExploreEnd::VisitorStopped;
+    return false;
+  }
+  ex.cutsVisited += charged;
+  if (budgetStop.load(std::memory_order_relaxed) || eligible < level.size()) {
+    // Short of the level's end, the sequential scan's next charge latches
+    // CutLimit; reproduce it (a no-op on an already latched budget).
+    if (budget != nullptr) budget->chargeCut();
+    ex.end = ExploreEnd::BudgetExhausted;
+    return false;
+  }
+  bfs.next = &bfs.workers.front().next;
+  if (workers == 1) return true;
+  bfs.merged.clear();
+  for (const Worker& worker : bfs.workers) {
+    for (std::size_t i = 0; i < worker.next.size(); ++i) {
+      const std::size_t slot =
+          bfs.merged.find(worker.next.cut(i), worker.next.hash(i));
+      if (bfs.merged.occupied(slot)) continue;
+      bfs.merged.add(slot, worker.next.cut(i), worker.next.hash(i));
+    }
+  }
+  bfs.next = &bfs.merged;
+  return true;
 }
 
-// Records one BFS level's live frontier (current level + next level under
-// construction) in `result` and charges the budget. Returns false when the
-// frontier limit trips.
-bool noteFrontier(ExploreResult& result, std::uint64_t perCut,
-                  std::uint64_t liveCuts, control::Budget* budget) {
+// Records one BFS level's live frontier (current level + next level) in
+// `result` and charges the budget. The byte estimate is per vector-backed
+// Cut (header + components), the unit of frontier budgets and gauges.
+// Returns false when the frontier limit trips.
+bool noteFrontier(ExploreResult& result, const Bfs& bfs,
+                  control::Budget* budget) {
+  const std::uint64_t liveCuts = bfs.level.size() + bfs.next->size();
+  const std::uint64_t liveBytes =
+      liveCuts * (sizeof(Cut) + sizeof(int) * static_cast<unsigned>(bfs.n));
   result.peakFrontierCuts = std::max(result.peakFrontierCuts, liveCuts);
-  const std::uint64_t liveBytes = liveCuts * perCut;
   result.peakFrontierBytes = std::max(result.peakFrontierBytes, liveBytes);
   if (budget != nullptr && !budget->noteFrontierBytes(liveBytes)) {
     result.end = ExploreEnd::BudgetExhausted;
@@ -54,27 +267,99 @@ bool noteFrontier(ExploreResult& result, std::uint64_t perCut,
   return true;
 }
 
-// Publishes one finished exploration to the metrics registry. Recorded
-// once per run (not per cut) so the BFS hot loop carries no extra code.
-void recordExploration(const char* what, const ExploreResult& result) {
-  (void)what;
-  (void)result;
-  GPD_OBS_COUNTER_ADD("lattice_explorations", 1);
-  GPD_OBS_COUNTER_ADD("cuts_enumerated", result.cutsVisited);
-  GPD_OBS_GAUGE_MAX("frontier_bytes_peak", result.peakFrontierBytes);
-  GPD_OBS_GAUGE_MAX("frontier_cuts_peak", result.peakFrontierCuts);
+const char* toString(ExploreEnd end) {
+  constexpr const char* kNames[] = {"exhausted", "visitor-stopped",
+                                    "budget-exhausted"};
+  return kNames[static_cast<int>(end)];
 }
 
-const char* toString(ExploreEnd end) {
-  switch (end) {
-    case ExploreEnd::Exhausted:
-      return "exhausted";
-    case ExploreEnd::VisitorStopped:
-      return "visitor-stopped";
-    case ExploreEnd::BudgetExhausted:
-      return "budget-exhausted";
+// The level loop of exploreConsistentCuts and both possibly searches: runs
+// until `visit` stops (the stopping cut is returned) or the lattice or the
+// budget runs out. Publishes the run to the metrics registry once, not per
+// cut, so the hot loop carries no extra code.
+template <typename Visit>
+std::optional<Cut> explore(const char* spanName, const VectorClocks& clocks,
+                           par::Pool* pool, control::Budget* budget,
+                           const CutAdmit* restriction, const Visit& visit,
+                           ExploreResult& ex) {
+  GPD_TRACE_SPAN_NAMED(span, spanName);
+  if (pool != nullptr) span.attrInt("threads", pool->threads());
+  Bfs bfs(clocks, pool);
+  const auto run = [&](const auto& admit) {
+    while (bfs.level.size() != 0 &&
+           expandLevel(bfs, budget, visit, admit, ex) &&
+           noteFrontier(ex, bfs, budget)) {
+      bfs.advance();
+    }
+  };
+  if (restriction == nullptr) {
+    run(AdmitAll{});
+  } else {
+    run(*restriction);
   }
-  return "?";
+  std::optional<Cut> stop;
+  if (ex.end == ExploreEnd::VisitorStopped) {
+    const int* cut = bfs.level.cut(bfs.stopPos);
+    stop = Cut(std::vector<int>(cut, cut + bfs.n));
+  }
+  span.attrInt("cuts", static_cast<std::int64_t>(ex.cutsVisited));
+  span.attrStr("end", toString(ex.end));
+  GPD_OBS_COUNTER_ADD("lattice_explorations", 1);
+  GPD_OBS_COUNTER_ADD("cuts_enumerated", ex.cutsVisited);
+  GPD_OBS_GAUGE_MAX("frontier_bytes_peak", ex.peakFrontierBytes);
+  GPD_OBS_GAUGE_MAX("frontier_cuts_peak", ex.peakFrontierCuts);
+  return stop;
+}
+
+CutSearchResult search(const char* spanName, const VectorClocks& clocks,
+                       const CutPredicate& phi, par::Pool* pool,
+                       control::Budget* budget, const CutAdmit* restriction) {
+  CutSearchResult result;
+  result.witness = explore(
+      spanName, clocks, pool, budget, restriction,
+      [&](const Cut& cut) { return !phi(cut); }, result.explore);
+  // Exact iff a witness surfaced or the whole lattice was examined.
+  result.complete = result.witness.has_value() ||
+                    result.explore.end == ExploreEnd::Exhausted;
+  return result;
+}
+
+// definitely(φ) in both forms: a run avoids φ iff it is a monotone path of
+// ¬φ-cuts from ⊥ to ⊤, so the BFS admits only ¬φ successors and asks
+// whether ⊤ is reached (⊤ sits alone on the last level).
+DefinitelyDecision definitely(const VectorClocks& clocks,
+                              const CutPredicate& phi, par::Pool* pool,
+                              control::Budget* budget) {
+  GPD_TRACE_SPAN_NAMED(span, "lattice.definitely");
+  if (pool != nullptr) span.attrInt("threads", pool->threads());
+  DefinitelyDecision decision;
+  ExploreResult& ex = decision.explore;
+  const auto decide = [&](bool holds) {
+    decision.holds = holds;
+    decision.decided = ex.end != ExploreEnd::BudgetExhausted;
+    span.attrInt("cuts", static_cast<std::int64_t>(ex.cutsVisited));
+    span.attrStr("end", toString(ex.end));
+    GPD_OBS_COUNTER_ADD("definitely_cuts_enumerated", ex.cutsVisited);
+    return decision;
+  };
+  const Computation& comp = clocks.computation();
+  const Cut top = finalCut(comp);
+  if (phi(initialCut(comp))) return decide(true);  // every run starts at ⊥
+  if (top == initialCut(comp)) return decide(false);
+  Bfs bfs(clocks, pool);
+  const auto notPhi = [&](ProcessId, const Cut& c) { return !phi(c); };
+  while (bfs.level.size() != 0 &&
+         expandLevel(bfs, budget, VisitAll{}, notPhi, ex)) {
+    const Level& next = *bfs.next;
+    if (next.size() == 1 &&
+        std::equal(top.last.begin(), top.last.end(), next.cut(0))) {
+      ex.end = ExploreEnd::VisitorStopped;  // an all-¬φ run exists
+      break;
+    }
+    if (!noteFrontier(ex, bfs, budget)) break;
+    bfs.advance();
+  }
+  return decide(ex.end == ExploreEnd::Exhausted);
 }
 
 }  // namespace
@@ -82,43 +367,10 @@ const char* toString(ExploreEnd end) {
 ExploreResult exploreConsistentCuts(
     const VectorClocks& clocks, const std::function<bool(const Cut&)>& visit,
     control::Budget* budget, const CutAdmit* restriction) {
-  const auto admit = [&](ProcessId p, const Cut& succ) {
-    return restriction == nullptr || (*restriction)(p, succ);
-  };
-  GPD_TRACE_SPAN_NAMED(span, "lattice.explore");
-  const Computation& comp = clocks.computation();
-  const std::uint64_t perCut = cutBytes(comp);
   ExploreResult result;
-  // One exit path annotates and records, whichever way the BFS ends —
-  // including a budget/cancel unwind (the span closes via RAII regardless).
-  const auto finish = [&]() -> ExploreResult& {
-    span.attrInt("cuts", static_cast<std::int64_t>(result.cutsVisited));
-    span.attrStr("end", toString(result.end));
-    recordExploration("explore", result);
-    return result;
-  };
-  std::vector<Cut> level{initialCut(comp)};
-  while (!level.empty()) {
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (const Cut& cut : level) {
-      if (budget != nullptr && !budget->chargeCut()) {
-        result.end = ExploreEnd::BudgetExhausted;
-        return finish();
-      }
-      ++result.cutsVisited;
-      if (!visit(cut)) {
-        result.end = ExploreEnd::VisitorStopped;
-        return finish();
-      }
-      expand(clocks, cut, seen, next, admit);
-    }
-    if (!noteFrontier(result, perCut, level.size() + next.size(), budget)) {
-      return finish();
-    }
-    level = std::move(next);
-  }
-  return finish();
+  explore("lattice.explore", clocks, nullptr, budget, restriction, visit,
+          result);
+  return result;
 }
 
 std::uint64_t forEachConsistentCut(
@@ -130,21 +382,7 @@ CutSearchResult findSatisfyingCutBudgeted(const VectorClocks& clocks,
                                           const CutPredicate& phi,
                                           control::Budget* budget,
                                           const CutAdmit* restriction) {
-  CutSearchResult result;
-  result.explore = exploreConsistentCuts(
-      clocks,
-      [&](const Cut& cut) {
-        if (phi(cut)) {
-          result.witness = cut;
-          return false;
-        }
-        return true;
-      },
-      budget, restriction);
-  // Exact iff a witness surfaced or the whole lattice was examined.
-  result.complete = result.witness.has_value() ||
-                    result.explore.end == ExploreEnd::Exhausted;
-  return result;
+  return search("lattice.explore", clocks, phi, nullptr, budget, restriction);
 }
 
 CutSearchResult findSatisfyingCutParallel(const VectorClocks& clocks,
@@ -152,112 +390,8 @@ CutSearchResult findSatisfyingCutParallel(const VectorClocks& clocks,
                                           par::Pool& pool,
                                           control::Budget* budget,
                                           const CutAdmit* restriction) {
-  const auto admit = [&](ProcessId p, const Cut& succ) {
-    return restriction == nullptr || (*restriction)(p, succ);
-  };
-  GPD_TRACE_SPAN_NAMED(span, "lattice.explore_par");
-  const int workers = pool.threads();
-  span.attrInt("threads", workers);
-  const Computation& comp = clocks.computation();
-  const std::uint64_t perCut = cutBytes(comp);
-  CutSearchResult result;
-  ExploreResult& ex = result.explore;
-  const auto finish = [&]() -> CutSearchResult& {
-    span.attrInt("cuts", static_cast<std::int64_t>(ex.cutsVisited));
-    span.attrStr("end", toString(ex.end));
-    recordExploration("explore", ex);
-    result.complete =
-        result.witness.has_value() || ex.end == ExploreEnd::Exhausted;
-    return result;
-  };
-
-  std::vector<Cut> level{initialCut(comp)};
-  std::vector<std::vector<Cut>> nexts(static_cast<std::size_t>(workers));
-  std::vector<std::uint64_t> visited(static_cast<std::size_t>(workers), 0);
-  while (!level.empty()) {
-    // Cap this frontier to the exact prefix the sequential scan would have
-    // charged before its CutLimit latch: positions past `eligible` are the
-    // cuts the sequential loop never reached.
-    const std::uint64_t eligible = std::min<std::uint64_t>(
-        level.size(),
-        budget != nullptr ? budget->remainingCuts() : UINT64_MAX);
-    std::atomic<std::uint64_t> bestPos{UINT64_MAX};
-    std::atomic<bool> stopped{false};
-    pool.run([&](int w) {
-      const std::uint64_t begin =
-          eligible * static_cast<std::uint64_t>(w) /
-          static_cast<std::uint64_t>(workers);
-      const std::uint64_t endPos =
-          eligible * static_cast<std::uint64_t>(w + 1) /
-          static_cast<std::uint64_t>(workers);
-      if (begin >= endPos) return;
-      GPD_TRACE_SPAN_NAMED(wspan, "par.lattice_worker");
-      wspan.attrInt("worker", w);
-      std::unordered_set<Cut> seen;
-      std::vector<Cut>& next = nexts[static_cast<std::size_t>(w)];
-      for (std::uint64_t pos = begin; pos < endPos; ++pos) {
-        // A satisfying cut at a lower position makes everything above it
-        // moot; the watermark only ever holds genuine witnesses, so no
-        // position below the eventual lowest one is ever skipped.
-        if (pos > bestPos.load(std::memory_order_relaxed) ||
-            stopped.load(std::memory_order_relaxed)) {
-          return;
-        }
-        if (budget != nullptr && !budget->chargeCut()) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;
-        }
-        ++visited[static_cast<std::size_t>(w)];
-        const Cut& cut = level[pos];
-        if (phi(cut)) {
-          std::uint64_t cur = bestPos.load(std::memory_order_relaxed);
-          while (pos < cur && !bestPos.compare_exchange_weak(
-                                  cur, pos, std::memory_order_relaxed)) {
-          }
-          return;
-        }
-        expand(clocks, cut, seen, next, admit);
-      }
-    });
-    for (std::uint64_t& count : visited) {
-      ex.cutsVisited += count;
-      count = 0;
-    }
-    const std::uint64_t best = bestPos.load(std::memory_order_relaxed);
-    if (best != UINT64_MAX) {
-      result.witness = level[best];
-      ex.end = ExploreEnd::VisitorStopped;
-      return finish();
-    }
-    if (stopped.load(std::memory_order_relaxed)) {
-      ex.end = ExploreEnd::BudgetExhausted;
-      return finish();
-    }
-    if (eligible < level.size()) {
-      // The sequential scan's next charge would have latched CutLimit;
-      // reproduce that latch so the reported StopReason matches.
-      if (budget != nullptr) budget->chargeCut();
-      ex.end = ExploreEnd::BudgetExhausted;
-      return finish();
-    }
-    // Ordered merge: slices are contiguous and ascending, so concatenating
-    // the per-worker next-frontiers in worker order walks the successors in
-    // the sequential generation order; first-occurrence dedup then yields
-    // exactly the sequential next level.
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (std::vector<Cut>& part : nexts) {
-      for (Cut& cut : part) {
-        if (seen.insert(cut).second) next.push_back(std::move(cut));
-      }
-      part.clear();
-    }
-    if (!noteFrontier(ex, perCut, level.size() + next.size(), budget)) {
-      return finish();
-    }
-    level = std::move(next);
-  }
-  return finish();
+  return search("lattice.explore_par", clocks, phi, &pool, budget,
+                restriction);
 }
 
 std::optional<Cut> findSatisfyingCut(const VectorClocks& clocks,
@@ -272,142 +406,14 @@ bool possiblyExhaustive(const VectorClocks& clocks, const CutPredicate& phi) {
 DefinitelyDecision definitelyExhaustiveBudgeted(const VectorClocks& clocks,
                                                 const CutPredicate& phi,
                                                 control::Budget* budget) {
-  // A run avoids φ iff it is a monotone path of ¬φ-cuts from ⊥ to ⊤.
-  DefinitelyDecision decision;
-  const Computation& comp = clocks.computation();
-  const std::uint64_t perCut = cutBytes(comp);
-  const Cut bottom = initialCut(comp);
-  const Cut top = finalCut(comp);
-  if (phi(bottom)) {  // every run starts at ⊥
-    decision.holds = true;
-    return decision;
-  }
-  if (bottom == top) {
-    decision.holds = false;
-    return decision;
-  }
-  std::vector<Cut> level{bottom};
-  const auto notPhi = [&](ProcessId, const Cut& c) { return !phi(c); };
-  while (!level.empty()) {
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (const Cut& cut : level) {
-      if (budget != nullptr && !budget->chargeCut()) {
-        decision.decided = false;
-        decision.explore.end = ExploreEnd::BudgetExhausted;
-        return decision;
-      }
-      ++decision.explore.cutsVisited;
-      expand(clocks, cut, seen, next, notPhi);
-    }
-    for (const Cut& cut : next) {
-      if (cut == top) {  // an all-¬φ run exists
-        decision.holds = false;
-        decision.explore.end = ExploreEnd::VisitorStopped;
-        return decision;
-      }
-    }
-    if (!noteFrontier(decision.explore, perCut, level.size() + next.size(),
-                      budget)) {
-      decision.decided = false;
-      return decision;
-    }
-    level = std::move(next);
-  }
-  decision.holds = true;
-  return decision;
+  return definitely(clocks, phi, nullptr, budget);
 }
 
 DefinitelyDecision definitelyExhaustiveParallel(const VectorClocks& clocks,
                                                 const CutPredicate& phi,
                                                 par::Pool& pool,
                                                 control::Budget* budget) {
-  GPD_TRACE_SPAN_NAMED(span, "lattice.definitely_par");
-  const int workers = pool.threads();
-  span.attrInt("threads", workers);
-  DefinitelyDecision decision;
-  const Computation& comp = clocks.computation();
-  const std::uint64_t perCut = cutBytes(comp);
-  const Cut bottom = initialCut(comp);
-  const Cut top = finalCut(comp);
-  if (phi(bottom)) {  // every run starts at ⊥
-    decision.holds = true;
-    return decision;
-  }
-  if (bottom == top) {
-    decision.holds = false;
-    return decision;
-  }
-  const auto notPhi = [&](ProcessId, const Cut& c) { return !phi(c); };
-  std::vector<Cut> level{bottom};
-  std::vector<std::vector<Cut>> nexts(static_cast<std::size_t>(workers));
-  std::vector<std::uint64_t> visited(static_cast<std::size_t>(workers), 0);
-  while (!level.empty()) {
-    const std::uint64_t eligible = std::min<std::uint64_t>(
-        level.size(),
-        budget != nullptr ? budget->remainingCuts() : UINT64_MAX);
-    std::atomic<bool> stopped{false};
-    pool.run([&](int w) {
-      const std::uint64_t begin =
-          eligible * static_cast<std::uint64_t>(w) /
-          static_cast<std::uint64_t>(workers);
-      const std::uint64_t endPos =
-          eligible * static_cast<std::uint64_t>(w + 1) /
-          static_cast<std::uint64_t>(workers);
-      if (begin >= endPos) return;
-      GPD_TRACE_SPAN_NAMED(wspan, "par.lattice_worker");
-      wspan.attrInt("worker", w);
-      std::unordered_set<Cut> seen;
-      std::vector<Cut>& next = nexts[static_cast<std::size_t>(w)];
-      for (std::uint64_t pos = begin; pos < endPos; ++pos) {
-        if (stopped.load(std::memory_order_relaxed)) return;
-        if (budget != nullptr && !budget->chargeCut()) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;
-        }
-        ++visited[static_cast<std::size_t>(w)];
-        expand(clocks, level[pos], seen, next, notPhi);
-      }
-    });
-    for (std::uint64_t& count : visited) {
-      decision.explore.cutsVisited += count;
-      count = 0;
-    }
-    if (stopped.load(std::memory_order_relaxed)) {
-      decision.decided = false;
-      decision.explore.end = ExploreEnd::BudgetExhausted;
-      return decision;
-    }
-    if (eligible < level.size()) {
-      if (budget != nullptr) budget->chargeCut();  // latch CutLimit
-      decision.decided = false;
-      decision.explore.end = ExploreEnd::BudgetExhausted;
-      return decision;
-    }
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (std::vector<Cut>& part : nexts) {
-      for (Cut& cut : part) {
-        if (seen.insert(cut).second) next.push_back(std::move(cut));
-      }
-      part.clear();
-    }
-    for (const Cut& cut : next) {
-      if (cut == top) {  // an all-¬φ run exists
-        decision.holds = false;
-        decision.explore.end = ExploreEnd::VisitorStopped;
-        return decision;
-      }
-    }
-    if (!noteFrontier(decision.explore, perCut, level.size() + next.size(),
-                      budget)) {
-      decision.decided = false;
-      return decision;
-    }
-    level = std::move(next);
-  }
-  decision.holds = true;
-  return decision;
+  return definitely(clocks, phi, &pool, budget);
 }
 
 bool definitelyExhaustive(const VectorClocks& clocks, const CutPredicate& phi) {
@@ -420,23 +426,16 @@ bool definitelyExhaustive(const VectorClocks& clocks, const CutPredicate& phi) {
 LatticeStats latticeStats(const VectorClocks& clocks,
                           control::Budget* budget) {
   LatticeStats stats;
-  const Computation& comp = clocks.computation();
-  std::vector<Cut> level{initialCut(comp)};
-  while (!level.empty()) {
-    stats.cutCount += level.size();
-    stats.maxWidth = std::max<std::uint64_t>(stats.maxWidth, level.size());
+  ExploreResult ex;
+  Bfs bfs(clocks, nullptr);
+  while (bfs.level.size() != 0) {
+    stats.cutCount += bfs.level.size();
+    stats.maxWidth = std::max<std::uint64_t>(stats.maxWidth, bfs.level.size());
     ++stats.levels;
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (const Cut& cut : level) {
-      if (budget != nullptr && !budget->chargeCut()) {
-        stats.complete = false;
-        return stats;
-      }
-      expand(clocks, cut, seen, next, kAdmitAll);
-    }
-    level = std::move(next);
+    if (!expandLevel(bfs, budget, VisitAll{}, AdmitAll{}, ex)) break;
+    bfs.advance();
   }
+  stats.complete = ex.end != ExploreEnd::BudgetExhausted;
   return stats;
 }
 

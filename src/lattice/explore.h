@@ -60,9 +60,11 @@ struct ExploreResult {
 };
 
 // Visits every consistent cut exactly once in level order (level = number of
-// non-initial events). Stops early when `visit` returns false
-// (VisitorStopped) or when the budget trips (BudgetExhausted); the result
-// separates the two from genuine exhaustion.
+// non-initial events). The Cut handed to `visit` (and to predicates and
+// admits below) is valid only for the duration of the call; copy it to keep
+// it. Stops early when `visit` returns false (VisitorStopped) or when the
+// budget trips (BudgetExhausted); the result separates the two from genuine
+// exhaustion.
 // `restrict` (optional) prunes successors from the frontier; the restricted
 // BFS visits, level by level, exactly the full BFS's visit order filtered to
 // the admitted region (the admitted sublattice's generator sets coincide,
@@ -95,13 +97,13 @@ CutSearchResult findSatisfyingCutBudgeted(const VectorClocks& clocks,
 // their per-worker next-frontiers merge back in slice order, reproducing
 // the sequential BFS frontier order exactly. The witness is the frontier's
 // lowest-position satisfying cut (not the first finisher's), so the
-// verdict, witness, and complete flag are bit-identical to the sequential
-// search for any thread count under count/frontier budgets; cutsVisited
-// may differ once the short-circuit races the scan. A cut budget caps each
-// frontier to the exact prefix the sequential scan would have charged
-// before its CutLimit latch. phi must be safe to call concurrently (the
-// library's variable-based predicates are: evaluation is pure const
-// reads of the trace).
+// verdict, witness, complete flag and cutsVisited are bit-identical to the
+// sequential search for any thread count under count/frontier budgets:
+// charges that workers made past the witness position are refunded. A cut
+// budget caps each frontier to the exact prefix the sequential scan would
+// have charged before its CutLimit latch. phi must be safe to call
+// concurrently (the library's bound predicates are: evaluation is pure
+// const reads of the trace's history columns).
 CutSearchResult findSatisfyingCutParallel(const VectorClocks& clocks,
                                           const CutPredicate& phi,
                                           par::Pool& pool,

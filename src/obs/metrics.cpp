@@ -21,12 +21,13 @@ constexpr const char* kCounterInventory[] = {
     "cpdhb_combinations",        // Sec. 3.3 enumeration selections tried
     "cpdhb_comparisons",         // succLeq head comparisons inside CPDHB
     "cpdhb_invocations",         // findConsistentSelection calls
-    "cuts_enumerated",           // consistent cuts visited by lattice BFS
+    "cuts_enumerated",           // cuts visited by lattice possibly searches
+    "definitely_cuts_enumerated",  // cuts expanded by lattice definitely
     "detector_queries",          // Detector possibly/definitely calls
     "dnf_terms_tried",           // DNF terms scanned by possiblyExpression
     "dpll_decisions",            // DPLL branching decisions
     "dpll_propagations",         // DPLL unit propagations
-    "lattice_explorations",      // lattice BFS runs (possibly + definitely)
+    "lattice_explorations",      // lattice possibly-search runs
     "monitor_degraded_streams",  // streams written off by the session
     "monitor_gaps_detected",     // recovery episodes opened
     "monitor_gaps_recovered",    // recovery episodes closed successfully

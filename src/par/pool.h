@@ -15,8 +15,10 @@
 // kernel returns bit-identical verdicts and witnesses to its sequential
 // form — Yes selects the lowest combination/frontier index, never the
 // first finisher, and combination-count budgets cap the scanned index
-// prefix exactly like the sequential odometer. Only the progress counters
-// (combinations tried before the short-circuit, cuts visited) may differ.
+// prefix exactly like the sequential odometer. Progress counters match
+// too: on a Yes the drivers report the sequential count (combinations tried
+// or cuts visited up to the witness) and refund the budget for claims that
+// raced the short-circuit. Only CPDHB comparison totals may differ.
 //
 // Exceptions thrown by a worker are captured and rethrown from run() on
 // the calling thread (first one wins; the others are dropped after every

@@ -32,20 +32,46 @@ BoolExprPtr BoolExpr::disjunction(std::vector<BoolExprPtr> es) {
   return BoolExprPtr(new BoolExpr(Kind::Or, -1, "", std::move(es)));
 }
 
+BoundExpr BoolExpr::bind(const VariableTrace& trace) const {
+  return {trace, *this};
+}
+
 bool BoolExpr::evaluate(const VariableTrace& trace, const Cut& cut) const {
-  switch (kind_) {
-    case Kind::Var:
-      return trace.valueAtCut(cut, process_, name_) != 0;
-    case Kind::Not:
-      return !child()->evaluate(trace, cut);
-    case Kind::And:
-      for (const auto& c : children_) {
-        if (!c->evaluate(trace, cut)) return false;
+  return bind(trace)(cut);
+}
+
+BoundExpr::BoundExpr(const VariableTrace& trace, const BoolExpr& expr) {
+  flatten(trace, expr);
+}
+
+void BoundExpr::flatten(const VariableTrace& trace, const BoolExpr& e) {
+  const std::size_t at = nodes_.size();
+  const bool var = e.kind() == BoolExpr::Kind::Var;
+  nodes_.push_back({e.kind(), e.process(),
+                    var ? trace.column(e.process(), e.name()).data() : nullptr,
+                    0});
+  if (e.kind() == BoolExpr::Kind::Not) flatten(trace, *e.child());
+  if (e.kind() == BoolExpr::Kind::And || e.kind() == BoolExpr::Kind::Or) {
+    for (const auto& c : e.children()) flatten(trace, *c);
+  }
+  nodes_[at].end = nodes_.size();
+}
+
+bool BoundExpr::eval(std::size_t i, const Cut& cut) const {
+  const Node& n = nodes_[i];
+  switch (n.kind) {
+    case BoolExpr::Kind::Var:
+      return n.values[cut.last[n.process]] != 0;
+    case BoolExpr::Kind::Not:
+      return !eval(i + 1, cut);
+    case BoolExpr::Kind::And:
+      for (std::size_t c = i + 1; c < n.end; c = nodes_[c].end) {
+        if (!eval(c, cut)) return false;
       }
       return true;
-    case Kind::Or:
-      for (const auto& c : children_) {
-        if (c->evaluate(trace, cut)) return true;
+    case BoolExpr::Kind::Or:
+      for (std::size_t c = i + 1; c < n.end; c = nodes_[c].end) {
+        if (eval(c, cut)) return true;
       }
       return false;
   }

@@ -23,6 +23,7 @@
 namespace gpd {
 
 class BoolExpr;
+class BoundExpr;
 using BoolExprPtr = std::shared_ptr<const BoolExpr>;
 
 class BoolExpr {
@@ -43,6 +44,10 @@ class BoolExpr {
   // And/Or accessor.
   const std::vector<BoolExprPtr>& children() const { return children_; }
 
+  // Resolves every variable against `trace` once; the lattice route
+  // evaluates the bound form per cut.
+  BoundExpr bind(const VariableTrace& trace) const;
+
   bool evaluate(const VariableTrace& trace, const Cut& cut) const;
 
   std::string toString() const;
@@ -59,6 +64,28 @@ class BoolExpr {
   ProcessId process_ = -1;
   std::string name_;
   std::vector<BoolExprPtr> children_;
+};
+
+// An expression flattened in pre-order with every variable resolved to its
+// history column (VariableTrace::column). Copyable, safe to call
+// concurrently, valid while the trace lives.
+class BoundExpr {
+ public:
+  BoundExpr(const VariableTrace& trace, const BoolExpr& expr);
+
+  bool operator()(const Cut& cut) const { return eval(0, cut); }
+
+ private:
+  struct Node {
+    BoolExpr::Kind kind;
+    ProcessId process;
+    const std::int64_t* values;  // Var only
+    std::size_t end;             // one past this node's subtree
+  };
+  void flatten(const VariableTrace& trace, const BoolExpr& e);
+  bool eval(std::size_t i, const Cut& cut) const;
+
+  std::vector<Node> nodes_;
 };
 
 // One DNF disjunct: a set of literals (process, variable, polarity). Kept

@@ -31,16 +31,29 @@ std::vector<ProcessId> CnfPredicate::clauseProcesses(int j) const {
   return out;
 }
 
-bool CnfPredicate::holdsAtCut(const VariableTrace& trace, const Cut& cut) const {
-  for (const CnfClause& clause : clauses) {
-    bool sat = false;
+BoundCnf::BoundCnf(const VariableTrace& trace, const CnfPredicate& pred) {
+  for (const CnfClause& clause : pred.clauses) {
     for (const BoolLiteral& l : clause) {
-      if (l.holds(trace, cut.last[l.process])) {
+      literals_.push_back(
+          {l.process, l.positive, trace.column(l.process, l.var).data()});
+    }
+    ends_.push_back(literals_.size());
+  }
+}
+
+bool BoundCnf::operator()(const Cut& cut) const {
+  std::size_t i = 0;
+  for (const std::size_t end : ends_) {
+    bool sat = false;
+    for (; i < end; ++i) {
+      const Literal& l = literals_[i];
+      if ((l.values[cut.last[l.process]] != 0) == l.positive) {
         sat = true;
         break;
       }
     }
     if (!sat) return false;
+    i = end;
   }
   return true;
 }

@@ -26,6 +26,28 @@ struct BoolLiteral {
 
 using CnfClause = std::vector<BoolLiteral>;
 
+struct CnfPredicate;
+
+// A CNF predicate with every literal resolved to its variable's history
+// column (VariableTrace::column): evaluating it at a cut reads one array
+// slot per literal. Copyable and safe to call concurrently; valid while the
+// trace it was bound to lives.
+class BoundCnf {
+ public:
+  BoundCnf(const VariableTrace& trace, const CnfPredicate& pred);
+
+  bool operator()(const Cut& cut) const;
+
+ private:
+  struct Literal {
+    ProcessId process;
+    bool positive;
+    const std::int64_t* values;
+  };
+  std::vector<Literal> literals_;   // clause by clause
+  std::vector<std::size_t> ends_;   // ends_[j] = one past clause j's last
+};
+
 struct CnfPredicate {
   std::vector<CnfClause> clauses;
 
@@ -38,7 +60,13 @@ struct CnfPredicate {
   // The set of processes hosting clause j's variables (duplicates removed).
   std::vector<ProcessId> clauseProcesses(int j) const;
 
-  bool holdsAtCut(const VariableTrace& trace, const Cut& cut) const;
+  // Resolves the literals against `trace` once; the lattice routes evaluate
+  // the bound form per cut.
+  BoundCnf bind(const VariableTrace& trace) const { return {trace, *this}; }
+
+  bool holdsAtCut(const VariableTrace& trace, const Cut& cut) const {
+    return bind(trace)(cut);
+  }
 
   std::string toString() const;
 };

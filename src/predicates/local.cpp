@@ -77,6 +77,15 @@ LocalPredicate varCompare(ProcessId p, std::string var, Relop op,
   return pred;
 }
 
+BoundConjunctive::BoundConjunctive(const VariableTrace& trace,
+                                   const ConjunctivePredicate& pred) {
+  for (const LocalPredicate& term : pred.terms) {
+    std::vector<char> truth(trace.computation().eventCount(term.process), 0);
+    for (int i : trueEvents(trace, term)) truth[i] = 1;
+    terms_.push_back({term.process, std::move(truth)});
+  }
+}
+
 std::vector<int> trueEvents(const VariableTrace& trace,
                             const LocalPredicate& pred) {
   std::vector<int> out;

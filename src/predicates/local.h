@@ -39,10 +39,39 @@ LocalPredicate varCompare(ProcessId p, std::string var, Relop op,
 std::vector<int> trueEvents(const VariableTrace& trace,
                             const LocalPredicate& pred);
 
+struct ConjunctivePredicate;
+
+// A conjunctive predicate bound to a trace: each term's truth at every
+// event of its process, tabulated once (trueEvents' work), so evaluating it
+// at a cut reads one byte per term. Copyable, safe to call concurrently.
+class BoundConjunctive {
+ public:
+  BoundConjunctive(const VariableTrace& trace,
+                   const ConjunctivePredicate& pred);
+
+  bool operator()(const Cut& cut) const {
+    for (const Term& t : terms_) {
+      if (t.truth[cut.last[t.process]] == 0) return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Term {
+    ProcessId process;
+    std::vector<char> truth;
+  };
+  std::vector<Term> terms_;
+};
+
 // A conjunction of local predicates on pairwise distinct processes
 // (paper Sec. 2.3; Garg–Waldecker's predicate class).
 struct ConjunctivePredicate {
   std::vector<LocalPredicate> terms;
+
+  BoundConjunctive bind(const VariableTrace& trace) const {
+    return {trace, *this};
+  }
 
   bool holdsAtCut(const VariableTrace& trace, const Cut& cut) const {
     for (const auto& t : terms) {

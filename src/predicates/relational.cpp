@@ -6,6 +6,14 @@
 
 namespace gpd {
 
+BoundSum::BoundSum(const VariableTrace& trace,
+                   const std::vector<SumTerm>& terms) {
+  columns_.reserve(terms.size());
+  for (const SumTerm& t : terms) {
+    columns_.push_back({t.process, trace.column(t.process, t.var).data()});
+  }
+}
+
 std::int64_t SumPredicate::eventDeltaBound(const VariableTrace& trace) const {
   const Computation& comp = trace.computation();
   std::vector<std::int64_t> perNode(comp.totalEvents(), 0);

@@ -22,21 +22,54 @@ struct SumTerm {
   std::string var;
 };
 
+// The Σ of a list of terms with every variable resolved to its history
+// column once (VariableTrace::column); sum() at a cut reads one array slot
+// per term. Copyable, safe to call concurrently, valid while the trace
+// lives.
+class BoundSum {
+ public:
+  BoundSum(const VariableTrace& trace, const std::vector<SumTerm>& terms);
+
+  std::int64_t sum(const Cut& cut) const {
+    std::int64_t total = 0;
+    for (const Column& c : columns_) total += c.values[cut.last[c.process]];
+    return total;
+  }
+
+ private:
+  struct Column {
+    ProcessId process;
+    const std::int64_t* values;
+  };
+  std::vector<Column> columns_;
+};
+
+// Σ relop K over a BoundSum: the form the lattice routes evaluate per cut.
+struct BoundSumPredicate {
+  BoundSum sum;
+  Relop relop;
+  std::int64_t k;
+
+  bool operator()(const Cut& cut) const {
+    return compare(sum.sum(cut), relop, k);
+  }
+};
+
 struct SumPredicate {
   std::vector<SumTerm> terms;
   Relop relop = Relop::Equal;
   std::int64_t k = 0;
 
+  BoundSumPredicate bind(const VariableTrace& trace) const {
+    return {BoundSum(trace, terms), relop, k};
+  }
+
   std::int64_t sumAtCut(const VariableTrace& trace, const Cut& cut) const {
-    std::int64_t sum = 0;
-    for (const SumTerm& t : terms) {
-      sum += trace.valueAtCut(cut, t.process, t.var);
-    }
-    return sum;
+    return BoundSum(trace, terms).sum(cut);
   }
 
   bool holdsAtCut(const VariableTrace& trace, const Cut& cut) const {
-    return compare(sumAtCut(trace, cut), relop, k);
+    return bind(trace)(cut);
   }
 
   // Max over terms of the per-variable per-event |Δ|.

@@ -1,21 +1,16 @@
 #include "predicates/symmetric.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace gpd {
 
-bool SymmetricPredicate::holdsAtCut(const VariableTrace& trace,
-                                    const Cut& cut) const {
-  int count = 0;
-  for (const SumTerm& t : vars) {
-    const std::int64_t v = trace.valueAtCut(cut, t.process, t.var);
-    GPD_DCHECK(v == 0 || v == 1);
-    if (v != 0) ++count;
+BoundSymmetric SymmetricPredicate::bind(const VariableTrace& trace) const {
+  BoundSymmetric bound{BoundSum(trace, vars),
+                       std::vector<char>(vars.size() + 1, 0)};
+  for (int t : trueCounts) {
+    if (t >= 0 && t <= arity()) bound.inT[t] = 1;
   }
-  return std::find(trueCounts.begin(), trueCounts.end(), count) !=
-         trueCounts.end();
+  return bound;
 }
 
 std::vector<SumPredicate> SymmetricPredicate::asExactSums() const {

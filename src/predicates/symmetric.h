@@ -16,6 +16,19 @@
 
 namespace gpd {
 
+// A symmetric predicate bound to a trace: the variables' columns summed at
+// the cut (0/1 values, so the sum is the number of true variables) and T
+// as a membership table over 0…n.
+struct BoundSymmetric {
+  BoundSum count;
+  std::vector<char> inT;  // inT[t] = 1 iff t ∈ T
+
+  bool operator()(const Cut& cut) const {
+    const std::int64_t t = count.sum(cut);
+    return t >= 0 && t < static_cast<std::int64_t>(inT.size()) && inT[t] != 0;
+  }
+};
+
 struct SymmetricPredicate {
   std::vector<SumTerm> vars;    // boolean (0/1) variables
   std::vector<int> trueCounts;  // T: predicate holds iff #true ∈ T
@@ -23,7 +36,11 @@ struct SymmetricPredicate {
 
   int arity() const { return static_cast<int>(vars.size()); }
 
-  bool holdsAtCut(const VariableTrace& trace, const Cut& cut) const;
+  BoundSymmetric bind(const VariableTrace& trace) const;
+
+  bool holdsAtCut(const VariableTrace& trace, const Cut& cut) const {
+    return bind(trace)(cut);
+  }
 
   // The equivalent disjunction of exact-sum predicates.
   std::vector<SumPredicate> asExactSums() const;

@@ -51,7 +51,7 @@ std::vector<std::string> VariableTrace::variableNames(ProcessId p) const {
   return names;
 }
 
-const std::vector<std::int64_t>& VariableTrace::history(
+const std::vector<std::int64_t>& VariableTrace::column(
     ProcessId p, std::string_view name) const {
   GPD_CHECK(p >= 0 && p < comp_->processCount());
   const auto it = vars_[p].find(std::string(name));
@@ -62,14 +62,14 @@ const std::vector<std::int64_t>& VariableTrace::history(
 
 std::int64_t VariableTrace::value(ProcessId p, std::string_view name,
                                   int eventIndex) const {
-  const auto& h = history(p, name);
+  const auto& h = column(p, name);
   GPD_CHECK(eventIndex >= 0 && eventIndex < static_cast<int>(h.size()));
   return h[eventIndex];
 }
 
 std::int64_t VariableTrace::maxAbsDelta(ProcessId p,
                                         std::string_view name) const {
-  const auto& h = history(p, name);
+  const auto& h = column(p, name);
   std::int64_t best = 0;
   for (std::size_t i = 1; i < h.size(); ++i) {
     best = std::max(best, std::abs(h[i] - h[i - 1]));
@@ -79,7 +79,7 @@ std::int64_t VariableTrace::maxAbsDelta(ProcessId p,
 
 std::vector<int> VariableTrace::trueEventIndices(ProcessId p,
                                                  std::string_view name) const {
-  const auto& h = history(p, name);
+  const auto& h = column(p, name);
   std::vector<int> out;
   for (std::size_t i = 0; i < h.size(); ++i) {
     if (h[i] != 0) out.push_back(static_cast<int>(i));

@@ -59,10 +59,15 @@ class VariableTrace {
   // a boolean variable).
   std::vector<int> trueEventIndices(ProcessId p, std::string_view name) const;
 
- private:
-  const std::vector<std::int64_t>& history(ProcessId p,
-                                           std::string_view name) const;
+  // The whole history of `name` on p (column[i] = value after event i).
+  // Predicates resolve their variables to columns once per query (their
+  // bind() forms), so per-cut evaluation indexes arrays instead of hashing
+  // a name per lookup. The reference stays valid while the trace lives:
+  // define() never moves an existing column.
+  const std::vector<std::int64_t>& column(ProcessId p,
+                                          std::string_view name) const;
 
+ private:
   const Computation* comp_;
   std::vector<std::unordered_map<std::string, std::vector<std::int64_t>>> vars_;
 };

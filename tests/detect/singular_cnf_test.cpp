@@ -57,10 +57,13 @@ TEST(SingularCnfTest, UnsatisfiableClauseShortCircuits) {
   EXPECT_EQ(res.combinationsTotal, 0u);
 }
 
+// No padding between the fields: gtest prints the parameter's bytes into the
+// test's full name, and padding would make that name differ between builds.
 struct CaseParams {
   int groups;
   int groupSize;
   int events;
+  OrderingDiscipline discipline;
   double msgProb;
   double density;
 };
@@ -69,7 +72,8 @@ class SingularSweep : public ::testing::TestWithParam<CaseParams> {};
 
 TEST_P(SingularSweep, BothAlgorithmsMatchLattice) {
   const CaseParams& params = GetParam();
-  Rng rng(777 + params.groups * 131 + params.groupSize * 17 + params.events);
+  Rng rng(777 + params.groups * 131 + params.groupSize * 17 + params.events +
+          static_cast<int>(params.discipline) * 101);
   int found = 0;
   for (int trial = 0; trial < 40; ++trial) {
     GroupedComputationOptions opt;
@@ -77,6 +81,7 @@ TEST_P(SingularSweep, BothAlgorithmsMatchLattice) {
     opt.groupSize = params.groupSize;
     opt.eventsPerProcess = params.events;
     opt.messageProbability = params.msgProb;
+    opt.discipline = params.discipline;
     const Computation c = randomGroupedComputation(opt, rng);
     VariableTrace trace(c);
     defineRandomBools(trace, "x", params.density, rng);
@@ -104,12 +109,15 @@ TEST_P(SingularSweep, BothAlgorithmsMatchLattice) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SingularSweep,
-    ::testing::Values(CaseParams{2, 2, 3, 0.4, 0.35},
-                      CaseParams{2, 2, 4, 0.7, 0.25},
-                      CaseParams{3, 2, 3, 0.3, 0.3},
-                      CaseParams{2, 3, 3, 0.5, 0.2},
-                      CaseParams{1, 4, 4, 0.6, 0.3},
-                      CaseParams{3, 1, 4, 0.5, 0.5}));
+    ::testing::Values(
+        CaseParams{2, 2, 3, OrderingDiscipline::None, 0.4, 0.35},
+        CaseParams{2, 2, 4, OrderingDiscipline::None, 0.7, 0.25},
+        CaseParams{3, 2, 3, OrderingDiscipline::None, 0.3, 0.3},
+        CaseParams{2, 3, 3, OrderingDiscipline::None, 0.5, 0.2},
+        CaseParams{1, 4, 4, OrderingDiscipline::None, 0.6, 0.3},
+        CaseParams{3, 1, 4, OrderingDiscipline::None, 0.5, 0.5},
+        CaseParams{2, 2, 5, OrderingDiscipline::ReceiveOrdered, 0.6, 0.3},
+        CaseParams{2, 3, 4, OrderingDiscipline::SendOrdered, 0.6, 0.25}));
 
 TEST(SingularCnfTest, ChainCoverIsValidPartition) {
   Rng rng(909);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "computation/random.h"
 #include "lattice/explore.h"
 #include "predicates/random_trace.h"
@@ -19,6 +21,10 @@ struct SymCase {
   const char* name;
   SymmetricPredicate (*build)(std::vector<SumTerm>);
 };
+
+// gtest puts the printed parameter into the test's full name; the default
+// byte dump would show the pointers, which change with every load address.
+void PrintTo(const SymCase& sc, std::ostream* os) { *os << sc.name; }
 
 SymmetricPredicate buildXor(std::vector<SumTerm> v) {
   return exclusiveOr(std::move(v));

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "monitor/session.h"
+#include "temp_path.h"
 #include "util/check.h"
 
 namespace gpd::io {
@@ -83,10 +85,11 @@ TEST(CheckpointIoTest, RoundTripOfDetectedSessionKeepsWitness) {
 }
 
 TEST(CheckpointIoTest, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "gpd_checkpoint_io_test.ckpt";
+  const std::string path = uniqueTempPath("gpd_checkpoint_io_test.ckpt");
   const SessionSnapshot a = busySnapshot();
   saveCheckpoint(path, a);
   const SessionSnapshot b = loadCheckpoint(path);
+  std::remove(path.c_str());
   EXPECT_EQ(b.nextSeq, a.nextSeq);
   EXPECT_EQ(b.monitor.queues, a.monitor.queues);
 }

@@ -15,6 +15,7 @@
 // differently from engine bugs (2).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -22,13 +23,12 @@
 #include <sys/wait.h>
 
 #include "service/frame.h"
+#include "temp_path.h"
 
 namespace gpd {
 namespace {
 
-std::string tracePath() {
-  return ::testing::TempDir() + "gpd_cli_exit_test.trace";
-}
+std::string tracePath() { return uniqueTempPath("gpd_cli_exit_test.trace"); }
 
 // Runs gpdtool with `args`, output silenced, and returns its exit code.
 int runTool(const std::string& args) {
@@ -47,6 +47,7 @@ class CliExitTest : public ::testing::Test {
   static void SetUpTestSuite() {
     ASSERT_EQ(runTool("generate random " + tracePath() + " 7"), 0);
   }
+  static void TearDownTestSuite() { std::remove(tracePath().c_str()); }
 };
 
 TEST_F(CliExitTest, DecidedDetectExitsZero) {
@@ -102,7 +103,7 @@ int runServer(const std::string& args, const std::string& stdinPath = "") {
 }
 
 std::string writeTempFile(const std::string& name, const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = uniqueTempPath(name);
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   os.close();

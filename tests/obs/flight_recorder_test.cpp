@@ -11,13 +11,14 @@
 #include <sstream>
 #include <string>
 
+#include "temp_path.h"
 #include "util/check.h"
 
 namespace gpd::obs {
 namespace {
 
 std::string ringPath(const char* name) {
-  return ::testing::TempDir() + "gpd_fr_" + name + ".ring";
+  return uniqueTempPath(std::string("gpd_fr_") + name + ".ring");
 }
 
 std::string slurp(const std::string& path) {

@@ -22,19 +22,16 @@
 #include <sys/wait.h>
 
 #include "obs_test_util.h"
+#include "temp_path.h"
 
 namespace gpd {
 namespace {
 
-std::string tracePath() {
-  return ::testing::TempDir() + "gpd_obs_cli_test.trace";
-}
+std::string tracePath() { return uniqueTempPath("gpd_obs_cli_test.trace"); }
 
-std::string chromePath() {
-  return ::testing::TempDir() + "gpd_obs_cli_test.json";
-}
+std::string chromePath() { return uniqueTempPath("gpd_obs_cli_test.json"); }
 
-std::string outPath() { return ::testing::TempDir() + "gpd_obs_cli_out.txt"; }
+std::string outPath() { return uniqueTempPath("gpd_obs_cli_out.txt"); }
 
 // Runs gpdtool with `args`, stdout+stderr captured to outPath(), and
 // returns its exit code.
@@ -58,6 +55,11 @@ class ObsCliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     ASSERT_EQ(runTool("generate random " + tracePath() + " 7"), 0);
+  }
+  static void TearDownTestSuite() {
+    for (const std::string& path : {tracePath(), chromePath(), outPath()}) {
+      std::remove(path.c_str());
+    }
   }
 };
 
@@ -128,7 +130,7 @@ TEST_F(ObsCliTest, PlanAndMonitorAcceptObsFlags) {
 }
 
 TEST_F(ObsCliTest, ScrapeParsesAndPrettyPrintsAnExposition) {
-  const std::string scrape = ::testing::TempDir() + "gpd_obs_cli.prom";
+  const std::string scrape = uniqueTempPath("gpd_obs_cli.prom");
   {
     std::ofstream out(scrape);
     out << "# TYPE gpdd_pumps counter\n"
@@ -157,7 +159,7 @@ TEST_F(ObsCliTest, ScrapeParsesAndPrettyPrintsAnExposition) {
 }
 
 TEST_F(ObsCliTest, ScrapeRejectsMalformedExpositionWithExitOne) {
-  const std::string scrape = ::testing::TempDir() + "gpd_obs_cli_bad.prom";
+  const std::string scrape = uniqueTempPath("gpd_obs_cli_bad.prom");
   {
     std::ofstream out(scrape);
     // No # EOF terminator — a truncated scrape must not pass silently.

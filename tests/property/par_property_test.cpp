@@ -1,12 +1,12 @@
 // The gpd::par determinism contract (DESIGN.md §10), property-tested: for
 // any thread count a parallel kernel is bit-identical to its sequential
 // form — same verdict, same witness (lowest combination / frontier index,
-// never the first finisher), same combinationsTotal, same complete flag —
-// across 200 random computations and thread counts {1, 2, 8}, including
-// budget-exhausted Unknown cases under count budgets. Only the progress
-// counters may differ, and only when a Yes short-circuits the scan, so on
-// Unknown outcomes the serialized result (a canonical checkpoint string
-// including progress) must match byte for byte.
+// never the first finisher), same combinationsTotal, same complete flag,
+// same progress (combinations tried / cuts visited, which on a Yes is the
+// sequential scan's count up to the witness) — across 200 random
+// computations and thread counts {1, 2, 8}, including budget-exhausted
+// Unknown cases under count budgets. The serialized result (a canonical
+// checkpoint string including progress) must match byte for byte.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -84,9 +84,8 @@ SumPredicate wideSum() {
 }
 
 // Canonical checkpoint string of a Detection — every field a caller could
-// persist, excluding per-step wall times (timing) and, unless asked,
-// progress (which the contract lets differ on a Yes short-circuit).
-std::string checkpoint(const Detection& d, bool includeProgress) {
+// persist, excluding per-step wall times (timing).
+std::string checkpoint(const Detection& d) {
   std::ostringstream os;
   os << toString(d.outcome) << '|' << d.algorithm << '|'
      << control::toString(d.stopReason) << '|';
@@ -102,16 +101,14 @@ std::string checkpoint(const Detection& d, bool includeProgress) {
     os << st.algorithm << ':' << toString(st.status) << ':' << st.complete
        << ';';
   }
-  if (includeProgress) {
-    os << '|' << d.progress.cutsVisited << ':' << d.progress.combinationsTried;
-  }
+  os << '|' << d.progress.cutsVisited << ':' << d.progress.combinationsTried;
   return os.str();
 }
 
 // The singular-CNF kernel, sequential vs parallel: verdict, witness events,
-// combinationsTotal, and complete flag must be identical; on a budget stop
-// without a hit the tried count must match too (both scan exactly the
-// budgeted prefix).
+// combinationsTotal, complete flag and tried count must be identical (a
+// Yes reports the witness index + 1; a budget stop without a hit scans
+// exactly the budgeted prefix).
 void expectKernelIdentical(const SingularCnfResult& seq,
                            const SingularCnfResult& par,
                            const std::string& label) {
@@ -125,9 +122,7 @@ void expectKernelIdentical(const SingularCnfResult& seq,
   } else {
     EXPECT_FALSE(par.cut.has_value()) << label;
   }
-  if (!seq.found) {
-    EXPECT_EQ(par.combinationsTried, seq.combinationsTried) << label;
-  }
+  EXPECT_EQ(par.combinationsTried, seq.combinationsTried) << label;
 }
 
 TEST(ParPropertyTest, SingularKernelMatchesSequentialForAnyThreadCount) {
@@ -197,6 +192,7 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
       const lattice::CutSearchResult par =
           lattice::findSatisfyingCutParallel(vc, phi, pool);
       EXPECT_EQ(par.complete, seq.complete) << label;
+      EXPECT_EQ(par.explore.cutsVisited, seq.explore.cutsVisited) << label;
       ASSERT_EQ(par.witness.has_value(), seq.witness.has_value()) << label;
       if (seq.witness.has_value()) {
         EXPECT_EQ(par.witness->last, seq.witness->last) << label;
@@ -233,8 +229,8 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
 
 // Detector-level: the routed facade with a pool produces byte-identical
 // checkpoints to the sequential facade for every predicate class that can
-// reach a parallel kernel — including Unknown results, where even the
-// progress counters must serialize identically.
+// reach a parallel kernel — progress counters included, for Yes results as
+// well as budget-stopped Unknown ones.
 TEST(ParPropertyTest, DetectorCheckpointsAreByteIdenticalAcrossThreads) {
   Rng rng(173205);
   PoolSet pools;
@@ -260,13 +256,13 @@ TEST(ParPropertyTest, DetectorCheckpointsAreByteIdenticalAcrossThreads) {
       det.usePool(nullptr);
       control::Budget cnfSeq(limits);
       const std::string cnfRef =
-          checkpoint(det.possibly(cnf, cnfSeq), useTiny);
+          checkpoint(det.possibly(cnf, cnfSeq));
       control::Budget wideSeq(limits);
       const std::string wideRef =
-          checkpoint(det.possibly(wide, wideSeq), useTiny);
+          checkpoint(det.possibly(wide, wideSeq));
       control::Budget defSeq(limits);
       const std::string defRef =
-          checkpoint(det.definitely(conj, defSeq), useTiny);
+          checkpoint(det.definitely(conj, defSeq));
       if (cnfRef.find("unknown") == 0 || wideRef.find("unknown") == 0) {
         ++unknowns;
       }
@@ -276,13 +272,13 @@ TEST(ParPropertyTest, DetectorCheckpointsAreByteIdenticalAcrossThreads) {
         const std::string label =
             t + b + " threads=" + std::to_string(pool->threads());
         control::Budget cnfPar(limits);
-        EXPECT_EQ(checkpoint(det.possibly(cnf, cnfPar), useTiny), cnfRef)
+        EXPECT_EQ(checkpoint(det.possibly(cnf, cnfPar)), cnfRef)
             << label;
         control::Budget widePar(limits);
-        EXPECT_EQ(checkpoint(det.possibly(wide, widePar), useTiny), wideRef)
+        EXPECT_EQ(checkpoint(det.possibly(wide, widePar)), wideRef)
             << label;
         control::Budget defPar(limits);
-        EXPECT_EQ(checkpoint(det.definitely(conj, defPar), useTiny), defRef)
+        EXPECT_EQ(checkpoint(det.definitely(conj, defPar)), defRef)
             << label;
       }
       det.usePool(nullptr);

@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include "service/frame.h"
+#include "temp_path.h"
 
 namespace gpd::service {
 namespace {
@@ -38,8 +39,7 @@ const std::string& sockPath() {
   return path;
 }
 const std::string& ckptPath() {
-  static const std::string path = ::testing::TempDir() + "gpd_srv_" +
-                                  std::to_string(::getpid()) + ".manifest";
+  static const std::string path = uniqueTempPath("gpd_srv.manifest");
   return path;
 }
 

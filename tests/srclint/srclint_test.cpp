@@ -19,7 +19,8 @@
 #include <string>
 
 #include <sys/wait.h>
-#include <unistd.h>
+
+#include "temp_path.h"
 
 namespace gpd {
 namespace {
@@ -34,8 +35,7 @@ struct RunResult {
 // shared path would race (one process truncating or removing the file while
 // another reads it back).
 RunResult runLint(const std::string& args) {
-  const std::string outPath = ::testing::TempDir() + "srclint_test_out." +
-                              std::to_string(::getpid()) + ".txt";
+  const std::string outPath = uniqueTempPath("srclint_test_out.txt");
   const std::string cmd = std::string(SRCLINT_PATH) + " " + args + " > " +
                           outPath + " 2>&1";
   const int status = std::system(cmd.c_str());
@@ -67,6 +67,8 @@ const CheckFixture kCheckFixtures[] = {
      "src/detect/budget_good.cpp"},
     {"gpd-budget-charge", "src/detect/slice_bad.cpp",
      "src/detect/slice_good.cpp"},
+    {"gpd-budget-charge", "src/lattice/level_bad.cpp",
+     "src/lattice/level_good.cpp"},
     {"gpd-clock-discipline", "clock_bad.cpp", "clock_good.cpp"},
     {"gpd-span-raii", "span_bad.cpp", "span_good.cpp"},
     {"gpd-pool-capture", "pool_bad.cpp", "pool_good.cpp"},

@@ -29,8 +29,10 @@ const std::set<std::string>& chargeCalls() {
 // these must charge a budget or poll a cancel token (gpd-budget-charge).
 const std::set<std::string>& kernelCalls() {
   static const std::set<std::string> s = {
-      // lattice BFS expansion and the unbudgeted exploration wrappers
-      "expand", "exploreConsistentCuts", "forEachConsistentCut",
+      // lattice BFS level-expansion kernel and the unbudgeted exploration
+      // wrappers
+      "expandLevel", "expandCut", "exploreConsistentCuts",
+      "forEachConsistentCut",
       "findSatisfyingCut", "possiblyExhaustive", "definitelyExhaustive",
       "latticeStats",
       // CPDHB scan — one invocation per enumeration combination (Sec. 3.3)
