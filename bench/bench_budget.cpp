@@ -1,13 +1,17 @@
 // A9 — budget-layer overhead on paths that never exhaust it.
 //
 // Threading a control::Budget through every kernel must be close to free
-// when no limit trips: the per-unit cost is one latched-state test plus an
-// integer compare, with the steady_clock read amortized (every 64 cut
-// charges) or folded into already-coarse units (one poll per enumeration
-// combination). This harness times each budget-threaded kernel twice on
-// identical inputs — budget == nullptr vs an unlimited Budget with a far
-// deadline (so the poll path, not just the null test, is exercised) — and
-// reports the relative overhead. Target: < 3% on every row.
+// when no limit trips. A cut charge is a latched-state load, a limit test
+// and two relaxed atomic adds, with the steady_clock read amortized to
+// every 64 charged cuts; a combination charge also loads the cancel token
+// and reads the clock every 16 charges. This harness times each
+// budget-threaded kernel twice on identical inputs — budget == nullptr vs
+// an unlimited Budget with a far deadline (so the poll path, not just the
+// null test, is exercised) — and reports the relative overhead. Target:
+// < 3% per row. The lattice BFS spends ~115 ns per cut and prepays its
+// cuts 64 at a time, so a charge lands once per 64 cuts; the pooled row
+// checks that four workers sharing one Budget do not contend on it
+// (EXPERIMENTS.md A9).
 //
 // Workloads are chosen so the budgeted unit is actually charged many
 // times: the chain-cover row exhausts a Theorem-1 gadget of an UNSAT
@@ -81,6 +85,34 @@ int main() {
               overhead(plain, budgeted));
   }
 
+  // --- Pooled lattice search: four workers charge one shared Budget. A
+  //     predicate that never holds makes findSatisfyingCut walk the whole
+  //     lattice; batched charges keep the workers off the budget's
+  //     counters for all but one cut in 64.
+  {
+    Rng poolRng(910);  // own stream: the rows below keep their inputs
+    RandomComputationOptions opt;
+    opt.processes = 5;
+    opt.eventsPerProcess = 12;
+    opt.messageProbability = 0.2;
+    const Computation c = randomComputation(opt, poolRng);
+    const VectorClocks vc(c);
+    const lattice::CutPredicate never = [](const Cut&) { return false; };
+    par::Pool pool(4);
+    lattice::CutSearchResult res;
+    const auto [plain, budgeted] = measure(
+        [&] { res = lattice::findSatisfyingCut(vc, never, nullptr, &pool); },
+        [&] {
+          control::Budget budget(farDeadline);
+          res = lattice::findSatisfyingCut(vc, never, &budget, &pool);
+        });
+    GPD_CHECK(!res.witness.has_value() && res.complete);
+    table.row("lattice-bfs-pool4",
+              std::to_string(res.explore.cutsVisited) + " cuts",
+              bench::fmtMs(plain), bench::fmtMs(budgeted),
+              overhead(plain, budgeted));
+  }
+
   // --- Singular chain cover: one combination charge per CPDHB invocation.
   //     A Theorem-1 gadget of an UNSAT 3-CNF: no selection is consistent,
   //     so the enumeration exhausts its full space and every combination
@@ -135,9 +167,10 @@ int main() {
               overhead(plain, budgeted));
   }
 
-  // --- Detector facade on a polynomial path (CPDHB conjunctive): the
-  //     budgeted overload re-plans and walks the plan; per-query cost,
-  //     repeated for stability.
+  // --- Detector facade on a polynomial path (CPDHB conjunctive): both
+  //     sides re-plan and walk the plan — the unbudgeted overload under a
+  //     default (unlimited) Budget, the budgeted one under a far deadline;
+  //     per-query cost, repeated for stability.
   {
     constexpr int kReps = 64;
     RandomComputationOptions opt;
@@ -168,8 +201,7 @@ int main() {
   }
 
   table.print(std::cout);
-  std::cout << "\nShape check: every overhead row within a few percent "
-               "(noise-level); the budget layer is one compare per charge "
-               "plus an amortized clock read.\n";
+  std::cout << "\nShape check: every row within a few percent "
+               "(noise-level), the pooled lattice row included.\n";
   return 0;
 }

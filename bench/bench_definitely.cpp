@@ -41,9 +41,9 @@ int main() {
       if (procs <= 4 && events <= 16) {
         bool direct = false;
         const double lm = bench::timeMs([&] {
-          direct = lattice::definitelyExhaustive(clocks, [&](const Cut& cut) {
+          direct = lattice::decideDefinitely(clocks, [&](const Cut& cut) {
             return pred.holdsAtCut(trace, cut);
-          });
+          }).holds;
         });
         latticeMs = bench::fmtMs(lm);
         char buf[16];

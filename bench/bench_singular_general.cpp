@@ -61,7 +61,7 @@ int main() {
           cuts = 0;
           latticeFound = false;
           const BoundCnf holds = pred.bind(trace);
-          lattice::forEachConsistentCut(clocks, [&](const Cut& cut) {
+          lattice::exploreConsistentCuts(clocks, [&](const Cut& cut) {
             ++cuts;
             if (holds(cut)) {
               latticeFound = true;

@@ -82,7 +82,7 @@ int main() {
       std::uint64_t viaLattice = 0;
       const double latticeMs = bench::timeMs([&] {
         viaLattice = 0;
-        lattice::forEachConsistentCut(clocks, [&](const Cut& c) {
+        lattice::exploreConsistentCuts(clocks, [&](const Cut& c) {
           viaLattice += pred.holdsAtCut(trace, c);
           return true;
         });

@@ -40,7 +40,7 @@ int main() {
       if (procs <= 4 && events <= 16) {
         std::optional<Cut> viaLattice;
         const double lm = bench::timeMs([&] {
-          viaLattice = detect::detectExactSumExhaustive(clocks, trace, pred);
+          viaLattice = detect::detectExactSum(clocks, trace, pred).witness;
         });
         latticeMs = bench::fmtMs(lm);
         char buf[16];
@@ -75,10 +75,10 @@ int main() {
 
     bool viaThm = false;
     const double thmMs = bench::timeMs(
-        [&] { viaThm = detect::definitelySum(clocks, trace, pred); });
+        [&] { viaThm = detect::definitelySum(clocks, trace, pred).holds; });
     bool direct = false;
     const double directMs = bench::timeMs([&] {
-      direct = lattice::definitelyExhaustive(clocks, pred.bind(trace));
+      direct = lattice::decideDefinitely(clocks, pred.bind(trace)).holds;
     });
     e10.row(3, events, pred.k, bench::fmtMs(thmMs), bench::fmtMs(directMs),
             viaThm == direct ? "yes" : "NO");

@@ -222,7 +222,7 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
   std::vector<char> holds;
   bool capped = false;
   bool stableViolated = false;
-  lattice::forEachConsistentCut(clocks, [&](const Cut& cut) {
+  lattice::exploreConsistentCuts(clocks, [&](const Cut& cut) {
     if (cuts.size() >= opts.latticeCutLimit) {
       capped = true;
       return false;

@@ -20,9 +20,11 @@
 // compare). For cut charges the steady_clock read and the CancelToken load
 // are amortized to every kPollPeriod charges; combination charges observe
 // cancellation every time (one relaxed atomic load) and amortize only the
-// clock read. Threading a Budget through a kernel therefore costs a pointer
-// test plus an occasional clock read (< 3% measured by bench_budget,
-// experiment A9).
+// clock read. A cut charge is a latched-state load, a limit test and two
+// relaxed atomic adds (the cut counter and the shared poll counter); the
+// lattice BFS prepays its cuts in batches of kPollPeriod (chargeCuts), so
+// neither a sequential scan nor pool workers sharing one Budget pay that
+// per cut (bench_budget, experiment A9).
 //
 // Header-only on purpose: every module (lattice, detect, sat, monitor) can
 // include it without linking gpd_control, which sits *above* gpd_detect in
@@ -113,6 +115,10 @@ struct BudgetProgress {
 // *aggregate* charges, not one per worker per period.
 class Budget {
  public:
+  // Deadline/cancel are polled once every kPollPeriod amortized cut
+  // charges (and keepGoing calls).
+  static constexpr std::uint32_t kPollPeriod = 64;
+
   // Unlimited budget: charges never fail, progress is still counted.
   Budget() = default;
 
@@ -176,20 +182,27 @@ class Budget {
 
   // Charge one visited/expanded consistent cut. Returns false (latched)
   // once the budget is exhausted; the failing charge is not counted.
-  bool chargeCut() {
+  bool chargeCut() { return chargeCuts(1); }
+
+  // Charge n cuts at once, all or nothing: a batch that would pass maxCuts
+  // latches CutLimit and counts none of them. The lattice kernel charges
+  // its slices in batches of kPollPeriod cuts, so pool workers touch the
+  // shared counters once per batch rather than once per cut; the deadline
+  // and cancel token are polled once per kPollPeriod boundary the batch
+  // crosses, as for the same number of single charges.
+  bool chargeCuts(std::uint64_t n) {
     if (exhausted()) return false;
-    if (limits_.maxCuts != 0) {
-      const std::uint64_t prev =
-          cutsVisited_.fetch_add(1, std::memory_order_relaxed);
-      if (prev >= limits_.maxCuts) {
-        // Over-claimed by a racing charge: give the unit back uncounted.
-        cutsVisited_.fetch_sub(1, std::memory_order_relaxed);
-        return fail(StopReason::CutLimit);
-      }
-    } else {
-      cutsVisited_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t prev =
+        cutsVisited_.fetch_add(n, std::memory_order_relaxed);
+    if (limits_.maxCuts != 0 && prev + n > limits_.maxCuts) {
+      // Over-claimed (or raced past the limit): give the units back.
+      cutsVisited_.fetch_sub(n, std::memory_order_relaxed);
+      return fail(StopReason::CutLimit);
     }
-    return poll();
+    const std::uint32_t before = pollCounter_.fetch_add(
+        static_cast<std::uint32_t>(n), std::memory_order_relaxed);
+    if ((before & (kPollPeriod - 1)) + n < kPollPeriod) return true;
+    return pollNow();
   }
 
   // Charge one enumeration combination (a CPDHB invocation, a DNF term, a
@@ -256,8 +269,6 @@ class Budget {
   }
 
  private:
-  // Deadline/cancel are polled once every kPollPeriod amortized charges.
-  static constexpr std::uint32_t kPollPeriod = 64;
   // Combination charges check the cancel token every time but read the
   // clock only once per this many charges (first charge included).
   static constexpr std::uint32_t kCombinationPollPeriod = 16;

@@ -166,10 +166,7 @@ StepRun runSliceFirst(const VectorClocks& clocks, const VariableTrace& trace,
   };
   const lattice::CutPredicate phi = pred.bind(trace);
   const lattice::CutSearchResult search =
-      pool != nullptr ? lattice::findSatisfyingCutParallel(clocks, phi, *pool,
-                                                           budget, &admit)
-                      : lattice::findSatisfyingCutBudgeted(clocks, phi, budget,
-                                                           &admit);
+      lattice::findSatisfyingCut(clocks, phi, budget, pool, &admit);
   strace.exploredCuts = search.explore.cutsVisited;
   GPD_OBS_COUNTER_ADD("slice_explored_cuts", strace.exploredCuts);
   if (!search.complete) return stoppedRun();
@@ -207,8 +204,8 @@ SkeletonPruning pruneSingularOdometer(const VectorClocks& clocks,
   sopts.verifyRegular = false;
   // Unbudgeted on purpose: the build is O(|E|) linear walks — tiny against
   // the >64-combination enumeration it prunes — and budget-independence
-  // keeps the budgeted and unbudgeted enumerations scanning the same
-  // selection sequence.
+  // keeps the enumeration scanning the same selection sequence under any
+  // budget.
   Stopwatch watch;
   const Slice slice = computeSlice(clocks, skeletonOracle(ok), sopts);
   out.strace.buildNanos = watch.elapsedNanos();
@@ -373,174 +370,70 @@ Detection walkPlan(const analyze::AnalysisReport& report,
   return det;
 }
 
-}  // namespace
-
-analyze::Algorithm Detector::route(analyze::AnalysisReport report) {
-  GPD_OBS_COUNTER_ADD("detector_queries", 1);
-  adopt(std::move(report));
-  const analyze::Algorithm chosen = report_.chosen().algorithm;
-  lastAlgorithm_ = analyze::toString(chosen);
-  return chosen;
+// The answer of a query run under an unlimited budget, which always
+// completes: the unbudgeted entry points are the budgeted walk with nothing
+// to stop it.
+std::optional<Cut> completeWitness(Detection det) {
+  GPD_CHECK(det.outcome != Outcome::Unknown);
+  return std::move(det.witness);
 }
 
-const analyze::AnalysisReport& Detector::adopt(analyze::AnalysisReport report) {
+bool completeVerdict(const Detection& det) {
+  GPD_CHECK(det.outcome != Outcome::Unknown);
+  return det.outcome == Outcome::Yes;
+}
+
+}  // namespace
+
+void Detector::adopt(analyze::AnalysisReport report) {
   report_ = std::move(report);
   report_.threads = pool_ != nullptr ? pool_->threads() : 1;
   lastSlice_.reset();
-  return report_;
-}
-
-lattice::CutSearchResult Detector::searchLattice(
-    const lattice::CutPredicate& phi, control::Budget* budget) {
-  if (pool_ != nullptr) {
-    return lattice::findSatisfyingCutParallel(clocks_, phi, *pool_, budget);
-  }
-  return lattice::findSatisfyingCutBudgeted(clocks_, phi, budget);
-}
-
-lattice::DefinitelyDecision Detector::decideLattice(
-    const lattice::CutPredicate& phi, control::Budget* budget) {
-  if (pool_ != nullptr) {
-    return lattice::definitelyExhaustiveParallel(clocks_, phi, *pool_, budget);
-  }
-  return lattice::definitelyExhaustiveBudgeted(clocks_, phi, budget);
 }
 
 std::optional<Cut> Detector::possibly(const ConjunctivePredicate& pred) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(analyze::planConjunctive(
-      clocks_, *trace_, pred, analyze::Modality::Possibly));
-  GPD_CHECK(algo == analyze::Algorithm::Cpdhb);
-  const ConjunctiveResult res = detectConjunctive(clocks_, *trace_, pred);
-  if (res.found) return res.cut;
-  return std::nullopt;
+  control::Budget unlimited;
+  return completeWitness(possibly(pred, unlimited));
 }
 
 std::optional<Cut> Detector::possibly(const CnfPredicate& pred) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(analyze::planCnf(
-      clocks_, *trace_, pred, analyze::Modality::Possibly, routingOptions()));
-  switch (algo) {
-    case analyze::Algorithm::CpdscSpecialCase: {
-      const CpdscResult special =
-          detectSingularSpecialCase(clocks_, *trace_, pred);
-      GPD_CHECK_MSG(special.applicable(),
-                    "planner chose CPDSC but the scan found the groups "
-                    "unordered");
-      if (special.found()) return special.cut;
-      return std::nullopt;
-    }
-    case analyze::Algorithm::SingularChainCover: {
-      const analyze::CnfClassification* cls =
-          report_.cnf.has_value() ? &*report_.cnf : nullptr;
-      SkeletonPruning pruning;
-      if (slicing_) {
-        pruning = pruneSingularOdometer(clocks_, *trace_, pred, cls);
-      }
-      if (pruning.built) lastSlice_ = pruning.strace;
-      if (pruning.unsatisfiable) return std::nullopt;
-      const SingularCnfResult res = detectSingularByChainCover(
-          clocks_, *trace_, pred, nullptr, pool_,
-          pruning.active ? &pruning.admitted : nullptr);
-      // Unbudgeted enumerations feed planner accuracy too: the chosen step
-      // carries the Π cⱼ prediction this run just realized.
-      recordPlanVsActual(report_.chosen(), res.combinationsTried);
-      if (res.found) return res.cut;
-      return std::nullopt;
-    }
-    case analyze::Algorithm::SliceFirst: {
-      if (!slicing_) {
-        // Forced off: run the historical unsliced lattice path and report it
-        // as such.
-        lastAlgorithm_ =
-            analyze::toString(analyze::Algorithm::LatticeEnumeration);
-        return searchLattice(pred.bind(*trace_), nullptr).witness;
-      }
-      SliceTrace strace;
-      StepRun run = runSliceFirst(clocks_, *trace_, pred, report_.chosen(),
-                                  pool_, nullptr, strace);
-      lastSlice_ = strace;
-      GPD_CHECK_MSG(run.ran && run.complete,
-                    "unbudgeted slice pre-pass must complete");
-      return std::move(run.witness);
-    }
-    default:
-      GPD_CHECK(algo == analyze::Algorithm::LatticeEnumeration);
-      return searchLattice(pred.bind(*trace_), nullptr).witness;
-  }
+  control::Budget unlimited;
+  return completeWitness(possibly(pred, unlimited));
 }
 
 std::optional<Cut> Detector::possibly(const SumPredicate& pred) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(
-      analyze::planSum(clocks_, *trace_, pred, analyze::Modality::Possibly));
-  if (algo == analyze::Algorithm::LatticeEnumeration) {
-    return detectExactSumExhaustive(clocks_, *trace_, pred);
-  }
-  GPD_CHECK(algo == analyze::Algorithm::Theorem7ExactSum ||
-            algo == analyze::Algorithm::MinCutExtrema);
-  return possiblySum(clocks_, *trace_, pred);
+  control::Budget unlimited;
+  return completeWitness(possibly(pred, unlimited));
 }
 
 std::optional<Cut> Detector::possibly(const SymmetricPredicate& pred) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(analyze::planSymmetric(
-      clocks_, *trace_, pred, analyze::Modality::Possibly));
-  GPD_CHECK(algo == analyze::Algorithm::SymmetricExactSumDisjunction);
-  return possiblySymmetric(clocks_, *trace_, pred);
+  control::Budget unlimited;
+  return completeWitness(possibly(pred, unlimited));
 }
 
 std::optional<Cut> Detector::possibly(const BoolExpr& expr) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(analyze::planExpression(
-      clocks_, *trace_, expr, analyze::Modality::Possibly));
-  GPD_CHECK(algo == analyze::Algorithm::DnfDecomposition);
-  return possiblyExpression(clocks_, *trace_, expr).cut;
+  control::Budget unlimited;
+  return completeWitness(possibly(expr, unlimited));
 }
 
 bool Detector::definitely(const ConjunctivePredicate& pred) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(analyze::planConjunctive(
-      clocks_, *trace_, pred, analyze::Modality::Definitely));
-  GPD_CHECK(algo == analyze::Algorithm::IntervalDefinitely);
-  return definitelyConjunctive(clocks_, *trace_, pred).holds;
+  control::Budget unlimited;
+  return completeVerdict(definitely(pred, unlimited));
 }
 
 bool Detector::definitely(const CnfPredicate& pred) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(analyze::planCnf(
-      clocks_, *trace_, pred, analyze::Modality::Definitely, routingOptions()));
-  GPD_CHECK(algo == analyze::Algorithm::LatticeDefinitely);
-  const lattice::DefinitelyDecision d =
-      decideLattice(pred.bind(*trace_), nullptr);
-  GPD_CHECK(d.decided);
-  return d.holds;
+  control::Budget unlimited;
+  return completeVerdict(definitely(pred, unlimited));
 }
 
 bool Detector::definitely(const SumPredicate& pred) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(
-      analyze::planSum(clocks_, *trace_, pred, analyze::Modality::Definitely));
-  if (algo == analyze::Algorithm::LatticeDefinitely &&
-      pred.relop == Relop::Equal) {
-    // Σ = K with |ΔS| > 1: Theorem 7(2) does not apply; decide against the
-    // lattice directly (definitelySum would reject the precondition).
-    const lattice::DefinitelyDecision d =
-        decideLattice(pred.bind(*trace_), nullptr);
-    GPD_CHECK(d.decided);
-    return d.holds;
-  }
-  GPD_CHECK(algo == analyze::Algorithm::Theorem7Definitely ||
-            algo == analyze::Algorithm::LatticeDefinitely);
-  return definitelySum(clocks_, *trace_, pred);
+  control::Budget unlimited;
+  return completeVerdict(definitely(pred, unlimited));
 }
 
 bool Detector::definitely(const SymmetricPredicate& pred) {
-  GPD_TRACE_SPAN("detect.query");
-  const analyze::Algorithm algo = route(analyze::planSymmetric(
-      clocks_, *trace_, pred, analyze::Modality::Definitely));
-  GPD_CHECK(algo == analyze::Algorithm::LatticeDefinitely);
-  return definitelySymmetric(clocks_, *trace_, pred);
+  control::Budget unlimited;
+  return completeVerdict(definitely(pred, unlimited));
 }
 
 Detection Detector::possibly(const ConjunctivePredicate& pred,
@@ -559,7 +452,8 @@ Detection Detector::possibly(const ConjunctivePredicate& pred,
           }
           case analyze::Algorithm::LatticeEnumeration: {
             const lattice::CutSearchResult search =
-                searchLattice(pred.bind(*trace_), &budget);
+                lattice::findSatisfyingCut(clocks_, pred.bind(*trace_),
+                                           &budget, pool_);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -630,7 +524,8 @@ Detection Detector::possibly(const CnfPredicate& pred,
           }
           case analyze::Algorithm::LatticeEnumeration: {
             const lattice::CutSearchResult search =
-                searchLattice(pred.bind(*trace_), &budget);
+                lattice::findSatisfyingCut(clocks_, pred.bind(*trace_),
+                                           &budget, pool_);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -652,10 +547,10 @@ Detection Detector::possibly(const SumPredicate& pred,
           case analyze::Algorithm::Theorem7ExactSum:
             return exactPossibly(possiblySum(clocks_, *trace_, pred));
           case analyze::Algorithm::LatticeEnumeration: {
-            const ExactSumSearch search =
-                detectExactSumBudgeted(clocks_, *trace_, pred, &budget);
+            const lattice::CutSearchResult search =
+                detectExactSum(clocks_, *trace_, pred, &budget);
             if (!search.complete) return stoppedRun();
-            return exactPossibly(search.cut);
+            return exactPossibly(search.witness);
           }
           default:
             return StepRun{};
@@ -674,7 +569,8 @@ Detection Detector::possibly(const SymmetricPredicate& pred,
             return exactPossibly(possiblySymmetric(clocks_, *trace_, pred));
           case analyze::Algorithm::LatticeEnumeration: {
             const lattice::CutSearchResult search =
-                searchLattice(pred.bind(*trace_), &budget);
+                lattice::findSatisfyingCut(clocks_, pred.bind(*trace_),
+                                           &budget, pool_);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -699,7 +595,8 @@ Detection Detector::possibly(const BoolExpr& expr, control::Budget& budget) {
           }
           case analyze::Algorithm::LatticeEnumeration: {
             const lattice::CutSearchResult search =
-                searchLattice(expr.bind(*trace_), &budget);
+                lattice::findSatisfyingCut(clocks_, expr.bind(*trace_),
+                                           &budget, pool_);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -721,7 +618,8 @@ Detection Detector::definitely(const ConjunctivePredicate& pred,
                 definitelyConjunctive(clocks_, *trace_, pred).holds);
           case analyze::Algorithm::LatticeDefinitely: {
             const lattice::DefinitelyDecision d =
-                decideLattice(pred.bind(*trace_), &budget);
+                lattice::decideDefinitely(clocks_, pred.bind(*trace_),
+                                          &budget, pool_);
             if (!d.decided) return stoppedRun();
             return exactDefinitely(d.holds);
           }
@@ -741,7 +639,8 @@ Detection Detector::definitely(const CnfPredicate& pred,
           return StepRun{};
         }
         const lattice::DefinitelyDecision d =
-            decideLattice(pred.bind(*trace_), &budget);
+            lattice::decideDefinitely(clocks_, pred.bind(*trace_), &budget,
+                                      pool_);
         if (!d.decided) return stoppedRun();
         return exactDefinitely(d.holds);
       });
@@ -756,22 +655,23 @@ Detection Detector::definitely(const SumPredicate& pred,
         switch (step.algorithm) {
           case analyze::Algorithm::Theorem7Definitely: {
             const SumDecision d =
-                definitelySumBudgeted(clocks_, *trace_, pred, &budget);
+                definitelySum(clocks_, *trace_, pred, &budget);
             if (!d.decided) return stoppedRun();
             return exactDefinitely(d.holds);
           }
           case analyze::Algorithm::LatticeDefinitely: {
             if (pred.relop == Relop::Equal) {
               // Σ = K with |ΔS| > 1 skips the Theorem 7(2) reduction —
-              // decide against the lattice directly, like the unbudgeted
-              // path.
+              // decide against the lattice directly (definitelySum would
+              // reject the precondition).
               const lattice::DefinitelyDecision d =
-                  decideLattice(pred.bind(*trace_), &budget);
+                  lattice::decideDefinitely(clocks_, pred.bind(*trace_),
+                                            &budget, pool_);
               if (!d.decided) return stoppedRun();
               return exactDefinitely(d.holds);
             }
             const SumDecision s =
-                definitelySumBudgeted(clocks_, *trace_, pred, &budget);
+                definitelySum(clocks_, *trace_, pred, &budget);
             if (!s.decided) return stoppedRun();
             return exactDefinitely(s.holds);
           }
@@ -791,7 +691,7 @@ Detection Detector::definitely(const SymmetricPredicate& pred,
           return StepRun{};
         }
         const SumDecision d =
-            definitelySymmetricBudgeted(clocks_, *trace_, pred, &budget);
+            definitelySymmetric(clocks_, *trace_, pred, &budget);
         if (!d.decided) return stoppedRun();
         return exactDefinitely(d.holds);
       });

@@ -19,15 +19,20 @@
 // `lastReport()` exposes the full plan — the same artifact `gpdtool plan`
 // prints — so examples and logs can show the dispatch decision.
 //
-// The budgeted overloads (control::Budget&) return a three-valued Detection
-// and degrade gracefully instead of running an exponential step to
-// completion: the plan walk skips steps whose planner-predicted CPDHB
-// invocation count exceeds the budget's remaining combinations, refuses to
-// fall through to an exhaustive lattice step the budget cannot stop, and —
-// before conceding Unknown — reruns the cheapest skipped enumeration as a
-// bounded Yes-prover (it scans selections until the budget trips; a witness
-// it finds is a genuine Yes). A budgeted run that completes within its
-// budget returns exactly the unbudgeted answer and lastAlgorithm() string.
+// Every query takes one path, the plan walk. The budgeted overloads
+// (control::Budget&) return a three-valued Detection and degrade gracefully
+// instead of running an exponential step to completion: the walk skips
+// steps whose planner-predicted CPDHB invocation count exceeds the budget's
+// remaining combinations, refuses to fall through to an exhaustive lattice
+// step the budget cannot stop, and — before conceding Unknown — reruns the
+// cheapest skipped enumeration as a bounded Yes-prover (it scans selections
+// until the budget trips; a witness it finds is a genuine Yes). The
+// unbudgeted overloads run the same walk under an unlimited Budget, which
+// always completes, and unwrap its answer — so a budgeted run that completes
+// within its budget without skipping a step (Detection::skippedSteps empty)
+// returns the unbudgeted answer and lastAlgorithm() string by construction.
+// A walk that skips a step for cost may answer from a later step instead:
+// sound, but possibly another algorithm and witness.
 #pragma once
 
 #include <optional>
@@ -94,9 +99,10 @@ class Detector {
   bool definitely(const SumPredicate& pred);
   bool definitely(const SymmetricPredicate& pred);
 
-  // Budgeted, three-valued variants. The budget is shared across the whole
-  // call (plan walk + fallbacks); pass a fresh Budget per query unless
-  // amortizing one deadline over several.
+  // Budgeted, three-valued variants; the unbudgeted forms above delegate to
+  // them. The budget is shared across the whole call (plan walk +
+  // fallbacks); pass a fresh Budget per query unless amortizing one deadline
+  // over several.
   Detection possibly(const ConjunctivePredicate& pred, control::Budget& budget);
   Detection possibly(const CnfPredicate& pred, control::Budget& budget);
   Detection possibly(const SumPredicate& pred, control::Budget& budget);
@@ -119,20 +125,9 @@ class Detector {
   const std::optional<SliceTrace>& lastSlice() const { return lastSlice_; }
 
  private:
-  // Adopts `report` as the last routing decision and returns the chosen
-  // algorithm.
-  analyze::Algorithm route(analyze::AnalysisReport report);
-
   // Stores `report` (stamped with the pool's thread count) as the last
-  // routing decision, for the budgeted entry points that walk the whole
-  // plan rather than dispatching on chosen().
-  const analyze::AnalysisReport& adopt(analyze::AnalysisReport report);
-
-  // Generic lattice searches, routed through the pool when one is set.
-  lattice::CutSearchResult searchLattice(const lattice::CutPredicate& phi,
-                                         control::Budget* budget);
-  lattice::DefinitelyDecision decideLattice(const lattice::CutPredicate& phi,
-                                            control::Budget* budget);
+  // routing decision, the plan the walk then runs.
+  void adopt(analyze::AnalysisReport report);
 
   const VariableTrace* trace_;
   VectorClocks clocks_;

@@ -130,7 +130,7 @@ std::optional<Cut> possiblySum(const VectorClocks& clocks,
   const Deltas deltas = sumDeltas(trace, pred.terms);
   GPD_CHECK_MSG(maxAbsEventDelta(deltas) <= 1,
                 "Theorem 4 requires every event to change the sum by at most "
-                "1; use detectExactSumExhaustive for arbitrary deltas");
+                "1; use detectExactSum for arbitrary deltas");
   if (deltas.base <= pred.k && ext.maxSum >= pred.k) {
     return walkUntilSum(clocks, deltas, ext.argMax, pred.k);
   }
@@ -140,44 +140,23 @@ std::optional<Cut> possiblySum(const VectorClocks& clocks,
   return std::nullopt;
 }
 
-std::optional<Cut> detectExactSumExhaustive(const VectorClocks& clocks,
-                                            const VariableTrace& trace,
-                                            const SumPredicate& pred) {
-  return detectExactSumBudgeted(clocks, trace, pred, nullptr).cut;
-}
-
-ExactSumSearch detectExactSumBudgeted(const VectorClocks& clocks,
-                                      const VariableTrace& trace,
-                                      const SumPredicate& pred,
-                                      control::Budget* budget) {
+lattice::CutSearchResult detectExactSum(const VectorClocks& clocks,
+                                        const VariableTrace& trace,
+                                        const SumPredicate& pred,
+                                        control::Budget* budget) {
   GPD_CHECK(pred.relop == Relop::Equal);
   GPD_TRACE_SPAN("detect.sum.exact_search");
-  const lattice::CutSearchResult search =
-      lattice::findSatisfyingCutBudgeted(clocks, pred.bind(trace), budget);
-  ExactSumSearch result;
-  result.cut = search.witness;
-  result.complete = search.complete;
-  result.explore = search.explore;
-  return result;
+  return lattice::findSatisfyingCut(clocks, pred.bind(trace), budget);
 }
 
-bool definitelySum(const VectorClocks& clocks, const VariableTrace& trace,
-                   const SumPredicate& pred) {
-  const SumDecision decision =
-      definitelySumBudgeted(clocks, trace, pred, nullptr);
-  GPD_CHECK(decision.decided);
-  return decision.holds;
-}
-
-SumDecision definitelySumBudgeted(const VectorClocks& clocks,
-                                  const VariableTrace& trace,
-                                  const SumPredicate& pred,
-                                  control::Budget* budget) {
+SumDecision definitelySum(const VectorClocks& clocks,
+                          const VariableTrace& trace, const SumPredicate& pred,
+                          control::Budget* budget) {
   GPD_TRACE_SPAN("detect.sum.definitely");
   SumDecision result;
   if (pred.relop != Relop::Equal) {
     const lattice::DefinitelyDecision d =
-        lattice::definitelyExhaustiveBudgeted(clocks, pred.bind(trace), budget);
+        lattice::decideDefinitely(clocks, pred.bind(trace), budget);
     result.decided = d.decided;
     result.holds = d.decided && d.holds;
     return result;
@@ -194,7 +173,7 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   const BoundSum sum(trace, pred.terms);
   bool anyUndecided = false;
   if (deltas.base <= pred.k) {
-    const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
+    const lattice::DefinitelyDecision d = lattice::decideDefinitely(
         clocks, BoundSumPredicate{sum, Relop::GreaterEq, pred.k}, budget);
     if (d.decided && d.holds) {
       result.holds = true;
@@ -203,7 +182,7 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
     anyUndecided |= !d.decided;
   }
   if (deltas.base >= pred.k) {
-    const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
+    const lattice::DefinitelyDecision d = lattice::decideDefinitely(
         clocks, BoundSumPredicate{sum, Relop::LessEq, pred.k}, budget);
     if (d.decided && d.holds) {
       result.holds = true;

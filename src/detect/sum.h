@@ -11,13 +11,13 @@
 //    gives possibly(S = K) ⟺ (S(⊥) ≤ K ∧ max S ≥ K) ∨ (S(⊥) ≥ K ∧ min S ≤ K)
 //    (Theorem 7(1)); the witness is found by walking a path toward the
 //    extremal cut until the running sum first hits K.
-//  * arbitrary Δ: NP-complete (Theorem 2); detectExactSumExhaustive is the
-//    lattice fallback, and src/reduction demonstrates the hardness via
+//  * arbitrary Δ: NP-complete (Theorem 2); detectExactSum is the lattice
+//    fallback, and src/reduction demonstrates the hardness via
 //    subset sum.
 //
 // definitely(S relop K) is decided exactly against the lattice
-// (definitelyExhaustive); Theorem 7(2) reduces definitely(S = K) with
-// bounded Δ to the two inequality modalities, which definitelySumEquals
+// (lattice::decideDefinitely); Theorem 7(2) reduces definitely(S = K) with
+// bounded Δ to the two inequality modalities, which definitelySum
 // implements.
 #pragma once
 
@@ -51,41 +51,27 @@ std::optional<Cut> possiblySum(const VectorClocks& clocks,
                                const SumPredicate& pred);
 
 // Exhaustive possibly for Relop::Equal with arbitrary Δ (Theorem 2 says
-// nothing better exists in general): lattice search.
-std::optional<Cut> detectExactSumExhaustive(const VectorClocks& clocks,
-                                            const VariableTrace& trace,
-                                            const SumPredicate& pred);
-
-// Budgeted lattice search for Relop::Equal with arbitrary Δ. A cut is always
-// a genuine witness; complete=false means the lattice was not exhausted, so
-// an absent cut is "unknown" rather than "no".
-struct ExactSumSearch {
-  std::optional<Cut> cut;
-  bool complete = true;
-  lattice::ExploreResult explore;
-};
-ExactSumSearch detectExactSumBudgeted(const VectorClocks& clocks,
-                                      const VariableTrace& trace,
-                                      const SumPredicate& pred,
-                                      control::Budget* budget);
+// nothing better exists in general): lattice search, optionally budgeted. A
+// witness is always genuine; complete=false means the budget stopped the
+// search first, so an absent witness is "unknown" rather than "no".
+lattice::CutSearchResult detectExactSum(const VectorClocks& clocks,
+                                        const VariableTrace& trace,
+                                        const SumPredicate& pred,
+                                        control::Budget* budget = nullptr);
 
 // definitely(Σ xᵢ relop K), exact (lattice-based for the inequality
 // modalities; Relop::Equal uses the Theorem 7(2) reduction and requires
-// |Δ| ≤ 1).
-bool definitelySum(const VectorClocks& clocks, const VariableTrace& trace,
-                   const SumPredicate& pred);
-
-// Budgeted definitely. decided=false means the budget stopped the lattice
-// analysis before either answer was provable; for Relop::Equal the
-// Theorem 7(2) disjunction stays sound — a branch proved true decides the
-// whole predicate even when the sibling branch was cut short.
+// |Δ| ≤ 1). decided=false means a budget stopped the lattice analysis
+// before either answer was provable (never without a budget); for
+// Relop::Equal the Theorem 7(2) disjunction stays sound — a branch proved
+// true decides the whole predicate even when the sibling branch was cut
+// short.
 struct SumDecision {
   bool decided = true;
   bool holds = false;
 };
-SumDecision definitelySumBudgeted(const VectorClocks& clocks,
-                                  const VariableTrace& trace,
-                                  const SumPredicate& pred,
-                                  control::Budget* budget);
+SumDecision definitelySum(const VectorClocks& clocks,
+                          const VariableTrace& trace, const SumPredicate& pred,
+                          control::Budget* budget = nullptr);
 
 }  // namespace gpd::detect

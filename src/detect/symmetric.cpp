@@ -2,7 +2,6 @@
 
 #include "lattice/explore.h"
 #include "obs/trace.h"
-#include "util/check.h"
 
 namespace gpd::detect {
 
@@ -16,21 +15,13 @@ std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
   return std::nullopt;
 }
 
-bool definitelySymmetric(const VectorClocks& clocks, const VariableTrace& trace,
-                         const SymmetricPredicate& pred) {
-  const SumDecision decision =
-      definitelySymmetricBudgeted(clocks, trace, pred, nullptr);
-  GPD_CHECK(decision.decided);
-  return decision.holds;
-}
-
-SumDecision definitelySymmetricBudgeted(const VectorClocks& clocks,
-                                        const VariableTrace& trace,
-                                        const SymmetricPredicate& pred,
-                                        control::Budget* budget) {
+SumDecision definitelySymmetric(const VectorClocks& clocks,
+                                const VariableTrace& trace,
+                                const SymmetricPredicate& pred,
+                                control::Budget* budget) {
   GPD_TRACE_SPAN("detect.symmetric.definitely");
   const lattice::DefinitelyDecision d =
-      lattice::definitelyExhaustiveBudgeted(clocks, pred.bind(trace), budget);
+      lattice::decideDefinitely(clocks, pred.bind(trace), budget);
   SumDecision result;
   result.decided = d.decided;
   result.holds = d.decided && d.holds;

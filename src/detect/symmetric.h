@@ -22,15 +22,11 @@ std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
                                      const VariableTrace& trace,
                                      const SymmetricPredicate& pred);
 
-// Exact definitely(φ) via lattice exploration.
-bool definitelySymmetric(const VectorClocks& clocks, const VariableTrace& trace,
-                         const SymmetricPredicate& pred);
-
-// Budgeted definitely(φ): decided=false when the budget stopped the lattice
-// analysis before an answer was provable.
-SumDecision definitelySymmetricBudgeted(const VectorClocks& clocks,
-                                        const VariableTrace& trace,
-                                        const SymmetricPredicate& pred,
-                                        control::Budget* budget);
+// Exact definitely(φ) via lattice exploration; decided=false when a budget
+// stopped the lattice analysis before an answer was provable.
+SumDecision definitelySymmetric(const VectorClocks& clocks,
+                                const VariableTrace& trace,
+                                const SymmetricPredicate& pred,
+                                control::Budget* budget = nullptr);
 
 }  // namespace gpd::detect

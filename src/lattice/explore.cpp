@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/check.h"
 
 namespace gpd::lattice {
 
@@ -158,14 +157,21 @@ void expandCut(const Bfs& bfs, const int* cut, std::uint64_t hash, Worker& w,
   }
 }
 
+// Cuts a scan charges to the budget per call: one batch per budget poll
+// period, so pool workers touch the budget's shared counters once per
+// batch instead of once per cut, and a deadline is still polled as often.
+constexpr std::uint64_t kChargeBatch = control::Budget::kPollPeriod;
+
 // The level-expansion kernel behind every exploration: charges each cut of
 // the current level, offers it to `visit` (false = stop there) and expands
 // it through `admit`, in level order. With a pool, workers scan contiguous
 // slices and their next levels merge in slice order through one index,
-// reproducing the sequential first-occurrence order. A cut budget caps the
-// level to the prefix the sequential scan charges before its CutLimit
-// latch, and charges made past a stop are refunded, so visits and budget
-// progress equal the sequential scan's. Returns true when the next level is
+// reproducing the sequential first-occurrence order. Each scan prepays its
+// cuts in batches of kChargeBatch and returns the unused part when it
+// stops. A cut budget caps the level to the prefix the sequential scan
+// charges before its CutLimit latch, so no batch trips CutLimit, and
+// charges made past a stop are refunded, so visits and budget progress
+// equal the sequential scan's. Returns true when the next level is
 // complete; otherwise ex.end says why not.
 template <typename Visit, typename Admit>
 bool expandLevel(Bfs& bfs, control::Budget* budget, const Visit& visit,
@@ -181,16 +187,23 @@ bool expandLevel(Bfs& bfs, control::Budget* budget, const Visit& visit,
     worker.next.clear();
     worker.charged = 0;
     const std::uint64_t end = eligible * (w + 1) / workers;
-    for (std::uint64_t pos = eligible * w / workers; pos < end; ++pos) {
+    std::uint64_t pos = eligible * w / workers;
+    std::uint64_t paid = pos;  // the budget holds charges for [.., paid)
+    for (; pos < end; ++pos) {
       // The watermark only ever holds real stops, so no position below the
       // final one is skipped.
       if (pos > stopPos.load(std::memory_order_relaxed) ||
           budgetStop.load(std::memory_order_relaxed)) {
-        return;
+        break;
       }
-      if (budget != nullptr && !budget->chargeCut()) {
-        budgetStop.store(true, std::memory_order_relaxed);
-        return;
+      if (pos == paid) {
+        const std::uint64_t batch =
+            std::min<std::uint64_t>(kChargeBatch, end - pos);
+        if (budget != nullptr && !budget->chargeCuts(batch)) {
+          budgetStop.store(true, std::memory_order_relaxed);
+          break;
+        }
+        paid += batch;
       }
       ++worker.charged;
       const int* cut = level.cut(pos);
@@ -200,11 +213,14 @@ bool expandLevel(Bfs& bfs, control::Budget* budget, const Visit& visit,
           while (pos < cur && !stopPos.compare_exchange_weak(
                                   cur, pos, std::memory_order_relaxed)) {
           }
-          return;
+          ++pos;  // the stopping cut was visited
+          break;
         }
       }
       expandCut(bfs, cut, level.hash(pos), worker, admit);
     }
+    // Return the prepaid part of a batch the scan stopped inside.
+    if (budget != nullptr && paid > pos) budget->refundCuts(paid - pos);
   };
   if (bfs.pool == nullptr) {
     scan(0);
@@ -273,16 +289,17 @@ const char* toString(ExploreEnd end) {
   return kNames[static_cast<int>(end)];
 }
 
-// The level loop of exploreConsistentCuts and both possibly searches: runs
+// The level loop of exploreConsistentCuts and findSatisfyingCut: runs
 // until `visit` stops (the stopping cut is returned) or the lattice or the
 // budget runs out. Publishes the run to the metrics registry once, not per
 // cut, so the hot loop carries no extra code.
 template <typename Visit>
-std::optional<Cut> explore(const char* spanName, const VectorClocks& clocks,
-                           par::Pool* pool, control::Budget* budget,
+std::optional<Cut> explore(const VectorClocks& clocks, par::Pool* pool,
+                           control::Budget* budget,
                            const CutAdmit* restriction, const Visit& visit,
                            ExploreResult& ex) {
-  GPD_TRACE_SPAN_NAMED(span, spanName);
+  GPD_TRACE_SPAN_NAMED(
+      span, pool != nullptr ? "lattice.explore_par" : "lattice.explore");
   if (pool != nullptr) span.attrInt("threads", pool->threads());
   Bfs bfs(clocks, pool);
   const auto run = [&](const auto& admit) {
@@ -311,25 +328,37 @@ std::optional<Cut> explore(const char* spanName, const VectorClocks& clocks,
   return stop;
 }
 
-CutSearchResult search(const char* spanName, const VectorClocks& clocks,
-                       const CutPredicate& phi, par::Pool* pool,
-                       control::Budget* budget, const CutAdmit* restriction) {
+}  // namespace
+
+ExploreResult exploreConsistentCuts(
+    const VectorClocks& clocks, const std::function<bool(const Cut&)>& visit,
+    control::Budget* budget, const CutAdmit* restriction) {
+  ExploreResult result;
+  explore(clocks, nullptr, budget, restriction, visit, result);
+  return result;
+}
+
+CutSearchResult findSatisfyingCut(const VectorClocks& clocks,
+                                  const CutPredicate& phi,
+                                  control::Budget* budget, par::Pool* pool,
+                                  const CutAdmit* restriction) {
   CutSearchResult result;
-  result.witness = explore(
-      spanName, clocks, pool, budget, restriction,
-      [&](const Cut& cut) { return !phi(cut); }, result.explore);
+  result.witness =
+      explore(clocks, pool, budget, restriction,
+              [&](const Cut& cut) { return !phi(cut); }, result.explore);
   // Exact iff a witness surfaced or the whole lattice was examined.
   result.complete = result.witness.has_value() ||
                     result.explore.end == ExploreEnd::Exhausted;
   return result;
 }
 
-// definitely(φ) in both forms: a run avoids φ iff it is a monotone path of
-// ¬φ-cuts from ⊥ to ⊤, so the BFS admits only ¬φ successors and asks
-// whether ⊤ is reached (⊤ sits alone on the last level).
-DefinitelyDecision definitely(const VectorClocks& clocks,
-                              const CutPredicate& phi, par::Pool* pool,
-                              control::Budget* budget) {
+// A run avoids φ iff it is a monotone path of ¬φ-cuts from ⊥ to ⊤, so the
+// BFS admits only ¬φ successors and asks whether ⊤ is reached (⊤ sits alone
+// on the last level).
+DefinitelyDecision decideDefinitely(const VectorClocks& clocks,
+                                    const CutPredicate& phi,
+                                    control::Budget* budget,
+                                    par::Pool* pool) {
   GPD_TRACE_SPAN_NAMED(span, "lattice.definitely");
   if (pool != nullptr) span.attrInt("threads", pool->threads());
   DefinitelyDecision decision;
@@ -360,67 +389,6 @@ DefinitelyDecision definitely(const VectorClocks& clocks,
     bfs.advance();
   }
   return decide(ex.end == ExploreEnd::Exhausted);
-}
-
-}  // namespace
-
-ExploreResult exploreConsistentCuts(
-    const VectorClocks& clocks, const std::function<bool(const Cut&)>& visit,
-    control::Budget* budget, const CutAdmit* restriction) {
-  ExploreResult result;
-  explore("lattice.explore", clocks, nullptr, budget, restriction, visit,
-          result);
-  return result;
-}
-
-std::uint64_t forEachConsistentCut(
-    const VectorClocks& clocks, const std::function<bool(const Cut&)>& visit) {
-  return exploreConsistentCuts(clocks, visit, nullptr).cutsVisited;
-}
-
-CutSearchResult findSatisfyingCutBudgeted(const VectorClocks& clocks,
-                                          const CutPredicate& phi,
-                                          control::Budget* budget,
-                                          const CutAdmit* restriction) {
-  return search("lattice.explore", clocks, phi, nullptr, budget, restriction);
-}
-
-CutSearchResult findSatisfyingCutParallel(const VectorClocks& clocks,
-                                          const CutPredicate& phi,
-                                          par::Pool& pool,
-                                          control::Budget* budget,
-                                          const CutAdmit* restriction) {
-  return search("lattice.explore_par", clocks, phi, &pool, budget,
-                restriction);
-}
-
-std::optional<Cut> findSatisfyingCut(const VectorClocks& clocks,
-                                     const CutPredicate& phi) {
-  return findSatisfyingCutBudgeted(clocks, phi, nullptr).witness;
-}
-
-bool possiblyExhaustive(const VectorClocks& clocks, const CutPredicate& phi) {
-  return findSatisfyingCut(clocks, phi).has_value();
-}
-
-DefinitelyDecision definitelyExhaustiveBudgeted(const VectorClocks& clocks,
-                                                const CutPredicate& phi,
-                                                control::Budget* budget) {
-  return definitely(clocks, phi, nullptr, budget);
-}
-
-DefinitelyDecision definitelyExhaustiveParallel(const VectorClocks& clocks,
-                                                const CutPredicate& phi,
-                                                par::Pool& pool,
-                                                control::Budget* budget) {
-  return definitely(clocks, phi, &pool, budget);
-}
-
-bool definitelyExhaustive(const VectorClocks& clocks, const CutPredicate& phi) {
-  const DefinitelyDecision decision =
-      definitelyExhaustiveBudgeted(clocks, phi, nullptr);
-  GPD_CHECK(decision.decided);
-  return decision.holds;
 }
 
 LatticeStats latticeStats(const VectorClocks& clocks,

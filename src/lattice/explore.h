@@ -7,11 +7,14 @@
 // avoid it — but exact, so it is the ground truth every efficient detector
 // is validated against, and the comparison baseline in the benches.
 //
-// Every entry point has a budgeted form (control/budget.h): the BFS loop
-// charges one cut per visit/expansion and reports its live frontier bytes
-// per level, so a wall-clock deadline, a cut cap, or a frontier-memory cap
-// turns an exponential blowup into an explicit incomplete result instead of
-// a hang or an OOM.
+// Four entry points: exploreConsistentCuts (visit every cut),
+// findSatisfyingCut (possibly), decideDefinitely (definitely) and
+// latticeStats. Each takes an optional Budget (control/budget.h): the BFS
+// loop charges every visited/expanded cut (prepaid in batches of 64, the
+// unused rest refunded at a stop) and reports its live frontier bytes per
+// level, so a wall-clock deadline, a cut cap, or a frontier-memory
+// cap turns an exponential blowup into an explicit incomplete result instead
+// of a hang or an OOM. The searches also take an optional par::Pool.
 #pragma once
 
 #include <cstdint>
@@ -65,18 +68,15 @@ struct ExploreResult {
 // it. Stops early when `visit` returns false (VisitorStopped) or when the
 // budget trips (BudgetExhausted); the result separates the two from genuine
 // exhaustion.
-// `restrict` (optional) prunes successors from the frontier; the restricted
-// BFS visits, level by level, exactly the full BFS's visit order filtered to
-// the admitted region (the admitted sublattice's generator sets coincide,
-// so the relative order of common cuts is preserved).
+// `restriction` (optional, here and in findSatisfyingCut) prunes successors
+// from the frontier; the restricted BFS visits, level by level, exactly the
+// full BFS's visit order filtered to the admitted region (the admitted
+// sublattice's generator sets coincide, so the relative order of common cuts
+// is preserved).
 ExploreResult exploreConsistentCuts(const VectorClocks& clocks,
                                     const std::function<bool(const Cut&)>& visit,
                                     control::Budget* budget = nullptr,
                                     const CutAdmit* restriction = nullptr);
-
-// Back-compat wrapper: the visit count of an unbudgeted exploration.
-std::uint64_t forEachConsistentCut(const VectorClocks& clocks,
-                                   const std::function<bool(const Cut&)>& visit);
 
 // Three-valued possibly(φ) search: `complete` is true when the answer is
 // exact (a witness was found, or the whole lattice was searched); false
@@ -87,57 +87,40 @@ struct CutSearchResult {
   ExploreResult explore;
 };
 
-CutSearchResult findSatisfyingCutBudgeted(const VectorClocks& clocks,
-                                          const CutPredicate& phi,
-                                          control::Budget* budget = nullptr,
-                                          const CutAdmit* restriction = nullptr);
-
-// Level-synchronous parallel form of findSatisfyingCutBudgeted: pool
-// workers scan disjoint contiguous slices of each antichain frontier and
-// their per-worker next-frontiers merge back in slice order, reproducing
-// the sequential BFS frontier order exactly. The witness is the frontier's
-// lowest-position satisfying cut (not the first finisher's), so the
-// verdict, witness, complete flag and cutsVisited are bit-identical to the
-// sequential search for any thread count under count/frontier budgets:
+// possibly(φ): the first consistent cut in BFS order that satisfies φ.
+// With a pool, workers scan disjoint contiguous slices of each antichain
+// frontier and their per-worker next-frontiers merge back in slice order,
+// reproducing the sequential BFS frontier order exactly. The witness is the
+// frontier's lowest-position satisfying cut (not the first finisher's), so
+// the verdict, witness, complete flag and cutsVisited are bit-identical to
+// the sequential search for any thread count under count/frontier budgets:
 // charges that workers made past the witness position are refunded. A cut
 // budget caps each frontier to the exact prefix the sequential scan would
-// have charged before its CutLimit latch. phi must be safe to call
-// concurrently (the library's bound predicates are: evaluation is pure
+// have charged before its CutLimit latch. With a pool, phi must be safe to
+// call concurrently (the library's bound predicates are: evaluation is pure
 // const reads of the trace's history columns).
-CutSearchResult findSatisfyingCutParallel(const VectorClocks& clocks,
-                                          const CutPredicate& phi,
-                                          par::Pool& pool,
-                                          control::Budget* budget = nullptr,
-                                          const CutAdmit* restriction = nullptr);
+CutSearchResult findSatisfyingCut(const VectorClocks& clocks,
+                                  const CutPredicate& phi,
+                                  control::Budget* budget = nullptr,
+                                  par::Pool* pool = nullptr,
+                                  const CutAdmit* restriction = nullptr);
 
-// possibly(φ): some consistent cut satisfies φ. Returns a witness cut.
-std::optional<Cut> findSatisfyingCut(const VectorClocks& clocks,
-                                     const CutPredicate& phi);
-
-bool possiblyExhaustive(const VectorClocks& clocks, const CutPredicate& phi);
-
-// Three-valued definitely(φ): `decided` is false when the budget stopped
-// the ¬φ-path search before it could prove either direction.
+// Three-valued definitely(φ): every run passes through a cut satisfying φ,
+// i.e. no monotone path of ¬φ-cuts leads from the initial to the final cut.
+// `decided` is false when the budget stopped the ¬φ-path search before it
+// could prove either direction; without a budget it is always true. A pool
+// follows the same slice-order partitioning and determinism contract as
+// findSatisfyingCut.
 struct DefinitelyDecision {
   bool decided = true;
   bool holds = false;
   ExploreResult explore;
 };
 
-DefinitelyDecision definitelyExhaustiveBudgeted(const VectorClocks& clocks,
-                                                const CutPredicate& phi,
-                                                control::Budget* budget = nullptr);
-
-// Parallel form of definitelyExhaustiveBudgeted with the same slice-order
-// partitioning and determinism contract as findSatisfyingCutParallel.
-DefinitelyDecision definitelyExhaustiveParallel(const VectorClocks& clocks,
-                                                const CutPredicate& phi,
-                                                par::Pool& pool,
-                                                control::Budget* budget = nullptr);
-
-// definitely(φ): every run passes through a cut satisfying φ. Equivalent to:
-// no monotone path of ¬φ-cuts from the initial to the final cut.
-bool definitelyExhaustive(const VectorClocks& clocks, const CutPredicate& phi);
+DefinitelyDecision decideDefinitely(const VectorClocks& clocks,
+                                    const CutPredicate& phi,
+                                    control::Budget* budget = nullptr,
+                                    par::Pool* pool = nullptr);
 
 struct LatticeStats {
   std::uint64_t cutCount = 0;   // number of consistent cuts counted so far

@@ -44,7 +44,7 @@ std::optional<std::vector<int>> solveSubsetSumViaDetection(
   const SubsetSumGadget gadget = buildSubsetSumGadget(sizes, target);
   const VectorClocks clocks(*gadget.computation);
   const auto cut =
-      detect::detectExactSumExhaustive(clocks, *gadget.trace, gadget.predicate);
+      detect::detectExactSum(clocks, *gadget.trace, gadget.predicate).witness;
   if (!cut) return std::nullopt;
   std::vector<int> subset = gadget.decode(*cut);
   std::int64_t sum = 0;

@@ -280,9 +280,9 @@ TEST(Plan, DefinitelyExactSumWithLargeDeltaUsesLattice) {
     detect::Detector detector(s.trace);
     const bool got = detector.definitely(pred);
     EXPECT_EQ(detector.lastAlgorithm(), "lattice-definitely");
-    const bool truth = lattice::definitelyExhaustive(
+    const bool truth = lattice::decideDefinitely(
         detector.clocks(),
-        [&](const Cut& cut) { return pred.holdsAtCut(s.trace, cut); });
+        [&](const Cut& cut) { return pred.holdsAtCut(s.trace, cut); }).holds;
     EXPECT_EQ(got, truth) << "iter " << iter;
   }
 }

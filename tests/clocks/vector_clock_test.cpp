@@ -82,9 +82,9 @@ TEST(VectorClockTest, PairConsistencyMatchesCutEnumeration) {
       for (int v = 0; v < c.totalEvents(); ++v) {
         const EventId e = c.event(u);
         const EventId f = c.event(v);
-        const bool viaCut = lattice::possiblyExhaustive(vc, [&](const Cut& cut) {
+        const bool viaCut = lattice::findSatisfyingCut(vc, [&](const Cut& cut) {
           return cut.passesThrough(e) && cut.passesThrough(f);
-        });
+        }).witness.has_value();
         EXPECT_EQ(vc.pairConsistent(e, f), viaCut) << "trial " << trial;
       }
     }
@@ -132,7 +132,7 @@ TEST(VectorClockTest, EnabledMatchesConsistencyOfSuccessor) {
   opt.eventsPerProcess = 5;
   const Computation c = randomComputation(opt, rng);
   const VectorClocks vc(c);
-  lattice::forEachConsistentCut(vc, [&](const Cut& cut) {
+  lattice::exploreConsistentCuts(vc, [&](const Cut& cut) {
     for (ProcessId p = 0; p < c.processCount(); ++p) {
       if (cut.last[p] + 1 >= c.eventCount(p)) continue;
       Cut succ = cut;

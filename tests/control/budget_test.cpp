@@ -133,6 +133,27 @@ TEST(BudgetTest, CancelObservedWithinOnePollPeriod) {
   EXPECT_EQ(b.reason(), StopReason::Cancelled);
 }
 
+TEST(BudgetTest, BatchedCutChargeIsAllOrNothing) {
+  BudgetLimits limits;
+  limits.maxCuts = 5;
+  Budget b(limits);
+  EXPECT_TRUE(b.chargeCuts(3));
+  EXPECT_FALSE(b.chargeCuts(3));  // would pass maxCuts: none counted
+  EXPECT_EQ(b.reason(), StopReason::CutLimit);
+  EXPECT_EQ(b.progress().cutsVisited, 3u);
+}
+
+TEST(BudgetTest, BatchedCutChargePollsAtEachPeriodBoundary) {
+  CancelToken cancel;
+  Budget b(BudgetLimits{}, &cancel);
+  EXPECT_TRUE(b.chargeCuts(Budget::kPollPeriod - 1));  // no boundary yet
+  cancel.requestCancel();
+  EXPECT_TRUE(b.chargeCuts(0));  // still short of the boundary
+  // One more cut reaches the boundary, so this batch polls and sees it.
+  EXPECT_FALSE(b.chargeCuts(2));
+  EXPECT_EQ(b.reason(), StopReason::Cancelled);
+}
+
 TEST(BudgetTest, CancelObservedImmediatelyByCombinationCharge) {
   CancelToken cancel;
   Budget b(BudgetLimits{}, &cancel);

@@ -72,9 +72,9 @@ TEST(DefinitelyConjunctiveTest, PossiblyButNotDefinitely) {
   const VectorClocks vc(c);
   ConjunctivePredicate pred{{varTrue(0, "x"), varTrue(1, "x")}};
   EXPECT_FALSE(definitelyConjunctive(vc, t, pred).holds);
-  EXPECT_TRUE(lattice::possiblyExhaustive(vc, [&](const Cut& cut) {
+  EXPECT_TRUE(lattice::findSatisfyingCut(vc, [&](const Cut& cut) {
     return pred.holdsAtCut(t, cut);
-  }));
+  }).witness.has_value());
 }
 
 TEST(DefinitelyConjunctiveTest, MessagesCanForceOverlap) {
@@ -131,9 +131,9 @@ TEST(DefinitelyConjunctiveTest, MatchesLatticeGroundTruth) {
     const VectorClocks vc(c);
     const auto res = definitelyConjunctive(vc, trace, pred);
     const bool expected =
-        lattice::definitelyExhaustive(vc, [&](const Cut& cut) {
+        lattice::decideDefinitely(vc, [&](const Cut& cut) {
           return pred.holdsAtCut(trace, cut);
-        });
+        }).holds;
     ASSERT_EQ(res.holds, expected) << "trial " << trial;
     if (res.holds) {
       ++holdCount;
@@ -170,9 +170,9 @@ TEST(DefinitelyConjunctiveTest, PartialConjunctionMatchesLattice) {
     const VectorClocks vc(c);
     const auto res = definitelyConjunctive(vc, trace, pred);
     const bool expected =
-        lattice::definitelyExhaustive(vc, [&](const Cut& cut) {
+        lattice::decideDefinitely(vc, [&](const Cut& cut) {
           return pred.holdsAtCut(trace, cut);
-        });
+        }).holds;
     EXPECT_EQ(res.holds, expected) << "trial " << trial;
   }
 }

@@ -53,7 +53,7 @@ TEST(LinearTest, FindsLeastSatisfyingCut) {
     const LinearResult res = detectLinear(vc, conjunctiveOracle(trace, pred));
     if (!res.cut) continue;
     // Minimality: every satisfying consistent cut contains res.cut.
-    lattice::forEachConsistentCut(vc, [&](const Cut& cut) {
+    lattice::exploreConsistentCuts(vc, [&](const Cut& cut) {
       if (pred.holdsAtCut(trace, cut)) {
         EXPECT_TRUE(res.cut->subsetOf(cut))
             << res.cut->toString() << " vs " << cut.toString();
@@ -123,9 +123,9 @@ TEST(LinearTest, TerminationOracleMatchesLattice) {
     const VectorClocks vc(c);
     const auto oracle = terminationOracle(trace, "active");
     const LinearResult res = detectLinear(vc, oracle);
-    const bool expected = lattice::possiblyExhaustive(vc, [&](const Cut& cut) {
+    const bool expected = lattice::findSatisfyingCut(vc, [&](const Cut& cut) {
       return !oracle(cut).has_value();
-    });
+    }).witness.has_value();
     ASSERT_EQ(res.cut.has_value(), expected) << "trial " << trial;
     if (res.cut) { EXPECT_FALSE(oracle(*res.cut).has_value()); }
   }

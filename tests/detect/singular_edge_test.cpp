@@ -14,8 +14,9 @@ namespace {
 
 bool latticeTruth(const VectorClocks& vc, const VariableTrace& trace,
                   const CnfPredicate& pred) {
-  return lattice::possiblyExhaustive(
-      vc, [&](const Cut& c) { return pred.holdsAtCut(trace, c); });
+  return lattice::findSatisfyingCut(
+             vc, [&](const Cut& c) { return pred.holdsAtCut(trace, c); })
+      .witness.has_value();
 }
 
 TEST(SingularEdgeTest, SpareProcessesOutsideAllClauses) {

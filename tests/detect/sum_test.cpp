@@ -24,7 +24,7 @@ std::pair<std::int64_t, std::int64_t> bruteExtrema(
   std::int64_t lo = 0;
   std::int64_t hi = 0;
   bool first = true;
-  lattice::forEachConsistentCut(vc, [&](const Cut& cut) {
+  lattice::exploreConsistentCuts(vc, [&](const Cut& cut) {
     std::int64_t s = 0;
     for (const SumTerm& t : terms) s += trace.valueAtCut(cut, t.process, t.var);
     if (first) {
@@ -108,9 +108,9 @@ TEST(PossiblySumTest, InequalityRelopsMatchLattice) {
     pred.relop = relops[rng.index(5)];
     pred.k = rng.uniform(-4, 4);
     const auto witness = possiblySum(vc, trace, pred);
-    const bool expected = lattice::possiblyExhaustive(vc, [&](const Cut& cut) {
+    const bool expected = lattice::findSatisfyingCut(vc, [&](const Cut& cut) {
       return pred.holdsAtCut(trace, cut);
-    });
+    }).witness.has_value();
     ASSERT_EQ(witness.has_value(), expected)
         << "trial " << trial << " pred " << pred.toString();
     if (witness) {
@@ -137,7 +137,7 @@ TEST(PossiblySumTest, ExactSumBoundedMatchesLattice) {
     pred.relop = Relop::Equal;
     pred.k = rng.uniform(-3, 3);
     const auto witness = possiblySum(vc, trace, pred);
-    const auto exhaustive = detectExactSumExhaustive(vc, trace, pred);
+    const auto exhaustive = detectExactSum(vc, trace, pred).witness;
     ASSERT_EQ(witness.has_value(), exhaustive.has_value())
         << "trial " << trial << " K=" << pred.k;
     if (witness) {
@@ -159,9 +159,9 @@ TEST(PossiblySumTest, UnboundedDeltaRejectedForEquality) {
   SumPredicate pred{{{0, "x"}}, Relop::Equal, 3, };
   EXPECT_THROW(possiblySum(vc, trace, pred), CheckFailure);
   // The exhaustive fallback handles it.
-  EXPECT_FALSE(detectExactSumExhaustive(vc, trace, pred).has_value());
+  EXPECT_FALSE(detectExactSum(vc, trace, pred).witness.has_value());
   pred.k = 5;
-  EXPECT_TRUE(detectExactSumExhaustive(vc, trace, pred).has_value());
+  EXPECT_TRUE(detectExactSum(vc, trace, pred).witness.has_value());
 }
 
 TEST(PossiblySumTest, InitialCutWitnessWhenBaseEqualsK) {
@@ -197,10 +197,10 @@ TEST(DefinitelySumTest, Theorem7ReductionMatchesDirectDefinitely) {
     pred.terms = allTerms(c, "x");
     pred.relop = Relop::Equal;
     pred.k = rng.uniform(-2, 2);
-    const bool viaTheorem = definitelySum(vc, trace, pred);
-    const bool direct = lattice::definitelyExhaustive(vc, [&](const Cut& cut) {
+    const bool viaTheorem = definitelySum(vc, trace, pred).holds;
+    const bool direct = lattice::decideDefinitely(vc, [&](const Cut& cut) {
       return pred.sumAtCut(trace, cut) == pred.k;
-    });
+    }).holds;
     ASSERT_EQ(viaTheorem, direct) << "trial " << trial << " K=" << pred.k;
     holds += viaTheorem;
   }
@@ -222,10 +222,10 @@ TEST(DefinitelySumTest, InequalityModalities) {
     pred.terms = allTerms(c, "x");
     pred.relop = trial % 2 ? Relop::GreaterEq : Relop::LessEq;
     pred.k = rng.uniform(-3, 3);
-    const bool got = definitelySum(vc, trace, pred);
-    const bool expected = lattice::definitelyExhaustive(vc, [&](const Cut& cut) {
+    const bool got = definitelySum(vc, trace, pred).holds;
+    const bool expected = lattice::decideDefinitely(vc, [&](const Cut& cut) {
       return pred.holdsAtCut(trace, cut);
-    });
+    }).holds;
     EXPECT_EQ(got, expected) << "trial " << trial;
   }
 }

@@ -59,9 +59,9 @@ TEST_P(SymmetricSweep, PossiblyMatchesLattice) {
     const VectorClocks vc(c);
     const SymmetricPredicate pred = sc.build(allVars(c));
     const auto witness = possiblySymmetric(vc, trace, pred);
-    const bool expected = lattice::possiblyExhaustive(vc, [&](const Cut& cut) {
+    const bool expected = lattice::findSatisfyingCut(vc, [&](const Cut& cut) {
       return pred.holdsAtCut(trace, cut);
-    });
+    }).witness.has_value();
     ASSERT_EQ(witness.has_value(), expected)
         << sc.name << " trial " << trial;
     if (witness) {
@@ -96,11 +96,11 @@ TEST(SymmetricDetectTest, DefinitelyMatchesLattice) {
     defineRandomBools(trace, "x", 0.5, rng);
     const VectorClocks vc(c);
     const SymmetricPredicate pred = notAllEqual(allVars(c));
-    const bool got = definitelySymmetric(vc, trace, pred);
+    const bool got = definitelySymmetric(vc, trace, pred).holds;
     const bool expected =
-        lattice::definitelyExhaustive(vc, [&](const Cut& cut) {
+        lattice::decideDefinitely(vc, [&](const Cut& cut) {
           return pred.holdsAtCut(trace, cut);
-        });
+        }).holds;
     EXPECT_EQ(got, expected) << "trial " << trial;
   }
 }

@@ -21,7 +21,7 @@ TEST(LatticeTest, IndependentProcessesFormGrid) {
   const Computation c = independent(2, 3);
   const VectorClocks vc(c);
   std::uint64_t count = 0;
-  forEachConsistentCut(vc, [&](const Cut&) {
+  exploreConsistentCuts(vc, [&](const Cut&) {
     ++count;
     return true;
   });
@@ -48,7 +48,7 @@ TEST(LatticeTest, VisitsEachCutOnceInLevelOrder) {
   const VectorClocks vc(c);
   std::set<std::vector<int>> seen;
   int lastLevel = -1;
-  forEachConsistentCut(vc, [&](const Cut& cut) {
+  exploreConsistentCuts(vc, [&](const Cut& cut) {
     EXPECT_TRUE(vc.isConsistent(cut));
     EXPECT_TRUE(seen.insert(cut.last).second) << "duplicate " << cut.toString();
     EXPECT_GE(cut.level(), lastLevel);
@@ -116,24 +116,27 @@ TEST(LatticeTest, StatsStopEarlyWhenTheBudgetTrips) {
 TEST(LatticeTest, PossiblyFindsWitness) {
   const Computation c = independent(2, 2);
   const VectorClocks vc(c);
-  const auto cut = findSatisfyingCut(
-      vc, [](const Cut& cut) { return cut.last[0] == 1 && cut.last[1] == 2; });
+  const auto cut =
+      findSatisfyingCut(vc, [](const Cut& cut) {
+        return cut.last[0] == 1 && cut.last[1] == 2;
+      }).witness;
   ASSERT_TRUE(cut.has_value());
   EXPECT_EQ(cut->last, (std::vector<int>{1, 2}));
   EXPECT_FALSE(
-      possiblyExhaustive(vc, [](const Cut& cut) { return cut.last[0] > 5; }));
+      findSatisfyingCut(vc, [](const Cut& cut) { return cut.last[0] > 5; })
+          .witness.has_value());
 }
 
 TEST(LatticeTest, DefinitelyAtInitialOrFinal) {
   const Computation c = independent(2, 2);
   const VectorClocks vc(c);
-  EXPECT_TRUE(definitelyExhaustive(
-      vc, [](const Cut& cut) { return cut.level() == 0; }));
-  EXPECT_TRUE(definitelyExhaustive(
-      vc, [](const Cut& cut) { return cut.level() == 4; }));
+  EXPECT_TRUE(decideDefinitely(
+      vc, [](const Cut& cut) { return cut.level() == 0; }).holds);
+  EXPECT_TRUE(decideDefinitely(
+      vc, [](const Cut& cut) { return cut.level() == 4; }).holds);
   // Every run passes through exactly one level-2 cut.
-  EXPECT_TRUE(definitelyExhaustive(
-      vc, [](const Cut& cut) { return cut.level() == 2; }));
+  EXPECT_TRUE(decideDefinitely(
+      vc, [](const Cut& cut) { return cut.level() == 2; }).holds);
 }
 
 TEST(LatticeTest, PossiblyButNotDefinitely) {
@@ -143,8 +146,8 @@ TEST(LatticeTest, PossiblyButNotDefinitely) {
   const auto phi = [](const Cut& cut) {
     return cut.last[0] == 1 && cut.last[1] == 0;
   };
-  EXPECT_TRUE(possiblyExhaustive(vc, phi));
-  EXPECT_FALSE(definitelyExhaustive(vc, phi));
+  EXPECT_TRUE(findSatisfyingCut(vc, phi).witness.has_value());
+  EXPECT_FALSE(decideDefinitely(vc, phi).holds);
 }
 
 // Ground truth via run enumeration: possibly(φ) iff some linear extension
@@ -187,8 +190,9 @@ TEST(LatticeTest, ModalitiesMatchRunEnumeration) {
           return true;
         });
 
-    EXPECT_EQ(possiblyExhaustive(vc, phi), anyRunHits) << "trial " << trial;
-    EXPECT_EQ(definitelyExhaustive(vc, phi), allRunsHit) << "trial " << trial;
+    EXPECT_EQ(findSatisfyingCut(vc, phi).witness.has_value(), anyRunHits)
+        << "trial " << trial;
+    EXPECT_EQ(decideDefinitely(vc, phi).holds, allRunsHit) << "trial " << trial;
   }
 }
 
@@ -196,9 +200,9 @@ TEST(LatticeTest, EarlyStopCountsVisited) {
   const Computation c = independent(2, 3);
   const VectorClocks vc(c);
   int calls = 0;
-  const auto visited = forEachConsistentCut(vc, [&](const Cut&) {
+  const auto visited = exploreConsistentCuts(vc, [&](const Cut&) {
     return ++calls < 4;
-  });
+  }).cutsVisited;
   EXPECT_EQ(visited, 4u);
 }
 
@@ -242,7 +246,8 @@ TEST(LatticeBudgetTest, UnlimitedBudgetMatchesUnbudgetedCount) {
       exploreConsistentCuts(vc, [](const Cut&) { return true; }, &unlimited);
   EXPECT_EQ(budgeted.end, ExploreEnd::Exhausted);
   EXPECT_EQ(budgeted.cutsVisited,
-            forEachConsistentCut(vc, [](const Cut&) { return true; }));
+            exploreConsistentCuts(vc, [](const Cut&) { return true; })
+                .cutsVisited);
 }
 
 TEST(LatticeBudgetTest, FrontierLimitStopsTheGrid) {
@@ -269,13 +274,13 @@ TEST(LatticeBudgetTest, SearchCompleteSemantics) {
   control::BudgetLimits one;
   one.maxCuts = 1;
   control::Budget witnessBudget(one);
-  const CutSearchResult hit = findSatisfyingCutBudgeted(
+  const CutSearchResult hit = findSatisfyingCut(
       vc, [](const Cut& cut) { return cut.level() == 0; }, &witnessBudget);
   ASSERT_TRUE(hit.witness.has_value());
   EXPECT_TRUE(hit.complete);
 
   // Exhausting the lattice without a witness is an exact No.
-  const CutSearchResult miss = findSatisfyingCutBudgeted(
+  const CutSearchResult miss = findSatisfyingCut(
       vc, [](const Cut& cut) { return cut.last[0] > 5; }, nullptr);
   EXPECT_FALSE(miss.witness.has_value());
   EXPECT_TRUE(miss.complete);
@@ -283,7 +288,7 @@ TEST(LatticeBudgetTest, SearchCompleteSemantics) {
 
   // A budget stop before a witness is incomplete: no witness is not a No.
   control::Budget tiny(one);
-  const CutSearchResult unknown = findSatisfyingCutBudgeted(
+  const CutSearchResult unknown = findSatisfyingCut(
       vc, [](const Cut& cut) { return cut.last[0] > 5; }, &tiny);
   EXPECT_FALSE(unknown.witness.has_value());
   EXPECT_FALSE(unknown.complete);
@@ -299,16 +304,15 @@ TEST(LatticeBudgetTest, DefinitelyBudgetedDecidesOrAdmitsIgnorance) {
   control::BudgetLimits generous;
   generous.maxCuts = 1000;
   control::Budget big(generous);
-  const DefinitelyDecision d = definitelyExhaustiveBudgeted(vc, midLevel, &big);
+  const DefinitelyDecision d = decideDefinitely(vc, midLevel, &big);
   EXPECT_TRUE(d.decided);
-  EXPECT_EQ(d.holds, definitelyExhaustive(vc, midLevel));
+  EXPECT_EQ(d.holds, decideDefinitely(vc, midLevel).holds);
 
   // Tiny budget on the same query: undecided, never a guess.
   control::BudgetLimits one;
   one.maxCuts = 1;
   control::Budget tiny(one);
-  const DefinitelyDecision u =
-      definitelyExhaustiveBudgeted(vc, midLevel, &tiny);
+  const DefinitelyDecision u = decideDefinitely(vc, midLevel, &tiny);
   EXPECT_FALSE(u.decided);
 
   // φ(⊥) is checked before any charge: an initial-state predicate decides
@@ -317,7 +321,7 @@ TEST(LatticeBudgetTest, DefinitelyBudgetedDecidesOrAdmitsIgnorance) {
   while (spent.chargeCut()) {
   }
   ASSERT_TRUE(spent.exhausted());
-  const DefinitelyDecision init = definitelyExhaustiveBudgeted(
+  const DefinitelyDecision init = decideDefinitely(
       vc, [](const Cut& cut) { return cut.level() == 0; }, &spent);
   EXPECT_TRUE(init.decided);
   EXPECT_TRUE(init.holds);

@@ -69,8 +69,8 @@ bool oracleNoteFrontier(ExploreResult& ex, std::uint64_t perCut,
   return true;
 }
 
-// exploreConsistentCuts / findSatisfyingCutBudgeted as they were: stops at
-// the first cut satisfying `phi` when one is given.
+// exploreConsistentCuts / findSatisfyingCut as they were: stops at the
+// first cut satisfying `phi` when one is given.
 OracleRun oracleSearch(const VectorClocks& clocks, const CutPredicate* phi,
                        control::Budget* budget, const CutAdmit* admit) {
   OracleRun run;
@@ -102,7 +102,7 @@ OracleRun oracleSearch(const VectorClocks& clocks, const CutPredicate* phi,
   return run;
 }
 
-// definitelyExhaustiveBudgeted as it was; `explore.end` BudgetExhausted
+// decideDefinitely as it was; `explore.end` BudgetExhausted
 // means undecided.
 OracleRun oracleDefinitely(const VectorClocks& clocks, const CutPredicate& phi,
                            control::Budget* budget) {
@@ -301,9 +301,7 @@ TEST(LatticeKernelProperty, EveryFormMatchesTheUnorderedSetBfs) {
           control::Budget searchBudget = budgetFor();
           control::Budget* b = limits ? &searchBudget : nullptr;
           const CutSearchResult res =
-              pool != nullptr
-                  ? findSatisfyingCutParallel(vc, phi, *pool, b, admit)
-                  : findSatisfyingCutBudgeted(vc, phi, b, admit);
+              findSatisfyingCut(vc, phi, b, pool, admit);
           expectSameExplore(res.explore, wantSearch.explore, ls);
           EXPECT_EQ(res.witness, wantSearch.witness) << ls;
           EXPECT_EQ(res.complete,
@@ -325,9 +323,7 @@ TEST(LatticeKernelProperty, EveryFormMatchesTheUnorderedSetBfs) {
             std::to_string(pool != nullptr ? pool->threads() : 0);
         control::Budget defBudget = budgetFor();
         control::Budget* b = limits ? &defBudget : nullptr;
-        const DefinitelyDecision d =
-            pool != nullptr ? definitelyExhaustiveParallel(vc, phi, *pool, b)
-                            : definitelyExhaustiveBudgeted(vc, phi, b);
+        const DefinitelyDecision d = decideDefinitely(vc, phi, b, pool);
         expectSameExplore(d.explore, wantDef.explore, ld);
         EXPECT_EQ(d.decided,
                   wantDef.explore.end != ExploreEnd::BudgetExhausted)

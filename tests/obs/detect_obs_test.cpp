@@ -1,0 +1,134 @@
+// What an unbudgeted Detector query emits. The unbudgeted entry points run
+// the same plan walk as the budgeted ones (under an unlimited Budget), so a
+// query opens one detect.query span with one plan.step child per step it
+// ran, counts detector_queries and plan_steps_run once, and feeds the
+// planner-accuracy counters from the budget's combination meter.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "gpd.h"
+
+namespace gpd::obs {
+namespace {
+
+#ifndef GPD_OBS_DISABLED
+
+class DetectObsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    tracer().stop();
+    tracer().clear();
+    registry().reset();
+  }
+  void TearDown() override {
+    tracer().stop();
+    tracer().clear();
+    registry().reset();
+  }
+};
+
+std::uint64_t counterValue(const char* name) {
+  return registry().counter(name).value();
+}
+
+// A grouped 2×2 computation without ordering discipline, so singular CNFs
+// over it route to the chain-cover enumeration rather than CPDSC.
+struct Grouped {
+  Computation computation;
+  VariableTrace trace;
+
+  explicit Grouped(Rng& rng) : computation(make(rng)), trace(computation) {
+    defineRandomBools(trace, "x", 0.5, rng);
+  }
+
+  static Computation make(Rng& rng) {
+    GroupedComputationOptions opt;
+    opt.groups = 2;
+    opt.groupSize = 2;
+    opt.eventsPerProcess = 4;
+    opt.messageProbability = 0.5;
+    opt.discipline = OrderingDiscipline::None;
+    return randomGroupedComputation(opt, rng);
+  }
+};
+
+CnfPredicate singularCnf() {
+  CnfPredicate pred;
+  pred.clauses = {{{0, "x", true}, {1, "x", true}},
+                  {{2, "x", true}, {3, "x", false}}};
+  return pred;
+}
+
+TEST_F(DetectObsTest, UnbudgetedCnfQueryOpensOneQuerySpanWithOneStep) {
+  Rng rng(11);
+  const Grouped g(rng);
+  detect::Detector det(g.trace);
+  tracer().start();
+  (void)det.possibly(singularCnf());
+  tracer().stop();
+
+  EXPECT_EQ(counterValue("detector_queries"), 1u);
+  EXPECT_EQ(counterValue("plan_steps_run"), 1u);
+  EXPECT_EQ(counterValue("plan_steps_skipped"), 0u);
+  const std::vector<SpanRecord> spans = tracer().snapshot();
+  std::vector<const SpanRecord*> queries;
+  std::vector<const SpanRecord*> steps;
+  for (const SpanRecord& s : spans) {
+    if (std::string(s.name) == "detect.query") queries.push_back(&s);
+    if (std::string(s.name) == "plan.step") steps.push_back(&s);
+  }
+  ASSERT_EQ(queries.size(), 1u);
+  ASSERT_EQ(steps.size(), 1u);
+  const SpanRecord& query = *queries[0];
+  const SpanRecord& step = *steps[0];
+  EXPECT_EQ(step.depth, query.depth + 1);
+  EXPECT_EQ(step.tid, query.tid);
+  EXPECT_GE(step.startNs, query.startNs);
+  EXPECT_LE(step.startNs + step.durationNs,
+            query.startNs + query.durationNs);
+  ASSERT_GE(step.attrCount, 2);
+  EXPECT_STREQ(step.attrs[0].key, "algorithm");
+  EXPECT_EQ(std::string(step.attrs[0].strValue), det.lastAlgorithm());
+  EXPECT_STREQ(step.attrs[1].key, "ran");
+  EXPECT_STREQ(step.attrs[1].strValue, "yes");
+}
+
+// plan_actual_combinations comes from the budget's combination meter; for
+// an unbudgeted chain-cover query it must equal the kernel's own count of
+// CPDHB invocations, sequentially and with a pool.
+TEST_F(DetectObsTest, UnbudgetedChainCoverFeedsTheKernelsCombinationCount) {
+  par::Pool pool(4);
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const Grouped g(rng);
+    const CnfPredicate pred = singularCnf();
+    detect::Detector det(g.trace);
+    for (par::Pool* p : {static_cast<par::Pool*>(nullptr), &pool}) {
+      det.usePool(p);
+      registry().reset();
+      (void)det.possibly(pred);
+      if (det.lastAlgorithm() != "singular-chain-cover") break;
+      // No skeleton pruning at this size, so the bare kernel scans the
+      // same selections.
+      ASSERT_FALSE(det.lastSlice().has_value()) << "seed " << seed;
+      const detect::SingularCnfResult kernel =
+          detect::detectSingularByChainCover(det.clocks(), g.trace, pred);
+      EXPECT_EQ(counterValue("plan_actual_combinations"),
+                kernel.combinationsTried)
+          << "seed " << seed << (p != nullptr ? " pooled" : "");
+      EXPECT_EQ(counterValue("plan_predicted_combinations"),
+                *det.lastReport().chosen().predictedCpdhbInvocations)
+          << "seed " << seed;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 10) << "too few seeds routed to singular-chain-cover";
+}
+
+#endif  // GPD_OBS_DISABLED
+
+}  // namespace
+}  // namespace gpd::obs

@@ -11,13 +11,19 @@
 #include <optional>
 #include <string>
 
-#include "computation/random.h"
 #include "control/budget.h"
 #include "detect/detector.h"
-#include "predicates/random_trace.h"
+#include "detect/detector_corpus.h"
 
 namespace gpd::detect {
 namespace {
+
+using testing::allTrue;
+using testing::Corpus;
+using testing::mixedExpr;
+using testing::nonSingularCnf;
+using testing::singularCnf;
+using testing::sumPred;
 
 control::Budget generousBudget() {
   control::BudgetLimits limits;
@@ -57,32 +63,6 @@ void expectSoundUnderLimits(const Detection& d, bool truth,
   }
 }
 
-// One random grouped computation with boolean and counter variables — the
-// same corpus shape the facade cross-check uses.
-struct Corpus {
-  Computation computation;
-  VariableTrace trace;
-
-  explicit Corpus(Rng& rng, int trial)
-      : computation(make(rng, trial)), trace(computation) {
-    defineRandomBools(trace, "x", 0.35, rng);
-    defineRandomCounters(trace, "c1", 0, 1, rng);  // |Δ| ≤ 1: Theorem 7
-    defineRandomCounters(trace, "c2", 0, 2, rng);  // |Δ| > 1: lattice only
-  }
-
-  static Computation make(Rng& rng, int trial) {
-    GroupedComputationOptions opt;
-    opt.groups = 2;
-    opt.groupSize = 2;
-    opt.eventsPerProcess = 3;
-    opt.messageProbability = 0.5;
-    opt.discipline = trial % 3 == 0   ? OrderingDiscipline::None
-                     : trial % 3 == 1 ? OrderingDiscipline::ReceiveOrdered
-                                      : OrderingDiscipline::SendOrdered;
-    return randomGroupedComputation(opt, rng);
-  }
-};
-
 template <typename Pred>
 void expectPossiblyBitIdentical(Detector& det, const VariableTrace& trace,
                                 const Pred& pred, const std::string& label) {
@@ -114,43 +94,6 @@ void expectDefinitelyBitIdentical(Detector& det, const Pred& pred,
   EXPECT_EQ(d.outcome == Outcome::Yes, exact) << label;
   EXPECT_EQ(d.algorithm, algorithm) << label;
   EXPECT_TRUE(d.skippedSteps.empty()) << label;
-}
-
-ConjunctivePredicate allTrue(int processes) {
-  ConjunctivePredicate pred;
-  for (ProcessId p = 0; p < processes; ++p) {
-    pred.terms.push_back(varTrue(p, "x"));
-  }
-  return pred;
-}
-
-CnfPredicate singularCnf(Rng& rng) {
-  CnfPredicate pred;
-  pred.clauses = {{{0, "x", true}, {1, "x", rng.chance(0.5)}},
-                  {{2, "x", rng.chance(0.5)}, {3, "x", true}}};
-  return pred;
-}
-
-CnfPredicate nonSingularCnf(Rng& rng) {
-  CnfPredicate pred = singularCnf(rng);
-  pred.clauses.push_back({{0, "x", false}});  // process 0 twice: non-singular
-  return pred;
-}
-
-BoolExprPtr mixedExpr() {
-  // (x0 ∧ x1) ∨ (¬x2 ∧ x3): two DNF terms, one with a negative literal.
-  return BoolExpr::disjunction(
-      {BoolExpr::conjunction({BoolExpr::var(0, "x"), BoolExpr::var(1, "x")}),
-       BoolExpr::conjunction(
-           {BoolExpr::negate(BoolExpr::var(2, "x")), BoolExpr::var(3, "x")})});
-}
-
-SumPredicate sumPred(const std::string& var, Relop op, std::int64_t k) {
-  SumPredicate pred;
-  for (ProcessId p = 0; p < 4; ++p) pred.terms.push_back({p, var});
-  pred.relop = op;
-  pred.k = k;
-  return pred;
 }
 
 TEST(BudgetPropertyTest, GenerousBudgetIsBitIdenticalToUnbudgeted) {

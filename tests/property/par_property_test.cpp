@@ -176,12 +176,12 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
     const std::string t = "trial " + std::to_string(trial);
 
     const lattice::CutSearchResult seq =
-        lattice::findSatisfyingCutBudgeted(vc, phi);
+        lattice::findSatisfyingCut(vc, phi);
     control::BudgetLimits tiny;
     tiny.maxCuts = 1 + static_cast<std::uint64_t>(trial % 5);
     control::Budget seqBudget(tiny);
     const lattice::CutSearchResult seqTiny =
-        lattice::findSatisfyingCutBudgeted(vc, phi, &seqBudget);
+        lattice::findSatisfyingCut(vc, phi, &seqBudget);
     if (!seqTiny.complete) ++incompletes;
 
     for (par::Pool* poolPtr : pools.all) {
@@ -190,7 +190,7 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
           t + " threads=" + std::to_string(pool.threads());
 
       const lattice::CutSearchResult par =
-          lattice::findSatisfyingCutParallel(vc, phi, pool);
+          lattice::findSatisfyingCut(vc, phi, nullptr, &pool);
       EXPECT_EQ(par.complete, seq.complete) << label;
       EXPECT_EQ(par.explore.cutsVisited, seq.explore.cutsVisited) << label;
       ASSERT_EQ(par.witness.has_value(), seq.witness.has_value()) << label;
@@ -200,7 +200,7 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
 
       control::Budget parBudget(tiny);
       const lattice::CutSearchResult parTiny =
-          lattice::findSatisfyingCutParallel(vc, phi, pool, &parBudget);
+          lattice::findSatisfyingCut(vc, phi, &parBudget, &pool);
       EXPECT_EQ(parTiny.complete, seqTiny.complete) << label << " tiny";
       ASSERT_EQ(parTiny.witness.has_value(), seqTiny.witness.has_value())
           << label << " tiny";
@@ -217,9 +217,9 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
       }
 
       const lattice::DefinitelyDecision seqDef =
-          lattice::definitelyExhaustiveBudgeted(vc, phi);
+          lattice::decideDefinitely(vc, phi);
       const lattice::DefinitelyDecision parDef =
-          lattice::definitelyExhaustiveParallel(vc, phi, pool);
+          lattice::decideDefinitely(vc, phi, nullptr, &pool);
       EXPECT_EQ(parDef.decided, seqDef.decided) << label;
       EXPECT_EQ(parDef.holds, seqDef.holds) << label;
     }

@@ -30,9 +30,9 @@ TEST_P(PropertySweep2, CpdscReceiveOrderedEquivalentToLattice) {
   const detect::CpdscResult res =
       detect::detectSingularSpecialCase(clocks, trace, pred);
   ASSERT_TRUE(res.applicable());
-  EXPECT_EQ(res.found(), lattice::possiblyExhaustive(clocks, [&](const Cut& c) {
+  EXPECT_EQ(res.found(), lattice::findSatisfyingCut(clocks, [&](const Cut& c) {
               return pred.holdsAtCut(trace, c);
-            }));
+            }).witness.has_value());
 }
 
 TEST_P(PropertySweep2, SymmetricDetectionEquivalentToLattice) {
@@ -51,9 +51,9 @@ TEST_P(PropertySweep2, SymmetricDetectionEquivalentToLattice) {
        {exclusiveOr(vars), absenceOfSimpleMajority(vars), exactlyK(vars, 2)}) {
     const auto witness = detect::possiblySymmetric(clocks, trace, pred);
     EXPECT_EQ(witness.has_value(),
-              lattice::possiblyExhaustive(clocks, [&](const Cut& c) {
+              lattice::findSatisfyingCut(clocks, [&](const Cut& c) {
                 return pred.holdsAtCut(trace, c);
-              }))
+              }).witness.has_value())
         << pred.name;
   }
 }
@@ -80,9 +80,9 @@ TEST_P(PropertySweep2, InequalityLoweringEquivalentToLattice) {
   const detect::IneqResult res =
       detect::possiblyInequality(clocks, trace, pred);
   EXPECT_EQ(res.cut.has_value(),
-            lattice::possiblyExhaustive(clocks, [&](const Cut& c) {
+            lattice::findSatisfyingCut(clocks, [&](const Cut& c) {
               return pred.holdsAtCut(trace, c);
-            }));
+            }).witness.has_value());
 }
 
 TEST_P(PropertySweep2, SatEncodingEquivalentToChainCover) {
@@ -119,7 +119,7 @@ TEST_P(PropertySweep2, SliceMembershipEquivalentToPredicate) {
   const VectorClocks clocks(comp);
   const detect::Slice slice =
       detect::computeSlice(clocks, detect::conjunctiveOracle(trace, pred));
-  lattice::forEachConsistentCut(clocks, [&](const Cut& cut) {
+  lattice::exploreConsistentCuts(clocks, [&](const Cut& cut) {
     EXPECT_EQ(detect::sliceSatisfies(slice, clocks, cut),
               pred.holdsAtCut(trace, cut));
     return true;

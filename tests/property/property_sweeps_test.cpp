@@ -37,7 +37,7 @@ class PropertySweep : public ::testing::TestWithParam<std::uint64_t> {
 
   static bool latticePossibly(const System& s,
                               const lattice::CutPredicate& phi) {
-    return lattice::possiblyExhaustive(s.clocks, phi);
+    return lattice::findSatisfyingCut(s.clocks, phi).witness.has_value();
   }
 };
 
@@ -69,9 +69,9 @@ TEST_P(PropertySweep, SingularAlgorithmsAgreeWithEachOtherAndLattice) {
         {{2 * g, "b", rng.chance(0.5)}, {2 * g + 1, "b", rng.chance(0.5)}});
   }
   const VectorClocks clocks(comp);
-  const bool expected = lattice::possiblyExhaustive(clocks, [&](const Cut& c) {
+  const bool expected = lattice::findSatisfyingCut(clocks, [&](const Cut& c) {
     return pred.holdsAtCut(trace, c);
-  });
+  }).witness.has_value();
   EXPECT_EQ(detect::detectSingularByProcessEnumeration(clocks, trace, pred).found,
             expected);
   EXPECT_EQ(detect::detectSingularByChainCover(clocks, trace, pred).found,
@@ -85,7 +85,7 @@ TEST_P(PropertySweep, SumExtremaBracketEveryCut) {
     terms.push_back({p, "x"});
   }
   const detect::SumExtrema ext = detect::sumExtrema(s.clocks, s.trace, terms);
-  lattice::forEachConsistentCut(s.clocks, [&](const Cut& cut) {
+  lattice::exploreConsistentCuts(s.clocks, [&](const Cut& cut) {
     std::int64_t sum = 0;
     for (const SumTerm& t : terms) {
       sum += s.trace.valueAtCut(cut, t.process, t.var);
@@ -106,7 +106,7 @@ TEST_P(PropertySweep, Theorem7ExactSumEquivalentToLattice) {
     SumPredicate pred{terms, Relop::Equal, k};
     const auto viaTheorem = detect::possiblySum(s.clocks, s.trace, pred);
     const auto viaLattice =
-        detect::detectExactSumExhaustive(s.clocks, s.trace, pred);
+        detect::detectExactSum(s.clocks, s.trace, pred).witness;
     EXPECT_EQ(viaTheorem.has_value(), viaLattice.has_value()) << "K=" << k;
   }
 }
@@ -118,9 +118,9 @@ TEST_P(PropertySweep, DefinitelyConjunctiveEquivalentToLattice) {
     pred.terms.push_back(varTrue(p, "b"));
   }
   const auto res = detect::definitelyConjunctive(s.clocks, s.trace, pred);
-  EXPECT_EQ(res.holds, lattice::definitelyExhaustive(s.clocks, [&](const Cut& c) {
+  EXPECT_EQ(res.holds, lattice::decideDefinitely(s.clocks, [&](const Cut& c) {
               return pred.holdsAtCut(s.trace, c);
-            }));
+            }).holds);
 }
 
 TEST_P(PropertySweep, DnfDecompositionEquivalentToLattice) {

@@ -116,7 +116,7 @@ TEST(DiffusingTest, DeclarationNeverPrecedesQuiescence) {
     const SimResult run = diffusingComputation(opt);
     const VectorClocks vc(*run.computation);
     bool unsound = false;
-    lattice::forEachConsistentCut(vc, [&](const Cut& cut) {
+    lattice::exploreConsistentCuts(vc, [&](const Cut& cut) {
       if (run.trace->valueAtCut(cut, 0, "terminated") == 0) return true;
       for (ProcessId p = 0; p < opt.processes; ++p) {
         if (run.trace->valueAtCut(cut, p, "active") != 0) {

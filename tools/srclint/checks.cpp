@@ -18,8 +18,8 @@ using analyze::Severity;
 // Direct Budget/CancelToken charge or poll calls (control/budget.h).
 const std::set<std::string>& chargeCalls() {
   static const std::set<std::string> s = {
-      "chargeCut", "chargeCombination", "keepGoing", "noteFrontierBytes",
-      "cancelRequested", "exhausted",
+      "chargeCut", "chargeCuts", "chargeCombination", "keepGoing",
+      "noteFrontierBytes", "cancelRequested", "exhausted",
   };
   return s;
 }
@@ -29,12 +29,12 @@ const std::set<std::string>& chargeCalls() {
 // these must charge a budget or poll a cancel token (gpd-budget-charge).
 const std::set<std::string>& kernelCalls() {
   static const std::set<std::string> s = {
-      // lattice BFS level-expansion kernel and the unbudgeted exploration
-      // wrappers
-      "expandLevel", "expandCut", "exploreConsistentCuts",
-      "forEachConsistentCut",
-      "findSatisfyingCut", "possiblyExhaustive", "definitelyExhaustive",
-      "latticeStats",
+      // lattice BFS level-expansion kernel and the four lattice entry
+      // points (their budget is optional, so a call may run a whole
+      // unbudgeted search), plus the sum/symmetric searches built on them
+      "expandLevel", "expandCut", "exploreConsistentCuts", "findSatisfyingCut",
+      "decideDefinitely", "latticeStats", "detectExactSum", "definitelySum",
+      "definitelySymmetric",
       // CPDHB scan — one invocation per enumeration combination (Sec. 3.3)
       "findConsistentSelection", "findConsistentSelectionImpl",
       // slicing kernels: the per-event linear-detector fixpoint and the

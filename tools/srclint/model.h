@@ -1,8 +1,7 @@
 // srclint structural model — function extents, loops, lambdas, calls.
 //
-// Built from the token stream by a bracket-matching pass (or, when srclint
-// was compiled against libclang and --frontend=clang is in effect, refined
-// from the real AST). The model is deliberately lightweight: every entity
+// Built from the token stream by a bracket-matching pass. The model is
+// deliberately lightweight: every entity
 // is a token range plus the few attributes the checks consume. Heuristics
 // and their known limits are documented in DESIGN.md §14.
 #pragma once

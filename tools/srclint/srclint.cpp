@@ -13,8 +13,6 @@
 //   --list-checks      print registered check names and exit
 //   -f text|json       output format (default text)
 //   --stats            print per-check finding/allowed counts to stderr
-//   --frontend auto|token|clang
-//                      lexer frontend; 'clang' needs a libclang build
 //   --help             usage
 //
 // Suppression: `// srclint: allow(check-name)` silences findings of that
@@ -35,7 +33,6 @@
 
 #include "analyze/diagnostic.h"
 #include "srclint/checks.h"
-#include "srclint/clang_frontend.h"
 #include "srclint/lex.h"
 #include "srclint/model.h"
 
@@ -57,7 +54,6 @@ struct Options {
   std::vector<std::string> paths;
   std::set<std::string> checks;  // empty = all
   std::string format = "text";
-  std::string frontend = "auto";
   std::string compileCommands;
   bool stats = false;
   bool listChecks = false;
@@ -65,8 +61,7 @@ struct Options {
 
 void usage(std::ostream& os) {
   os << "usage: srclint [--checks a,b] [--list-checks] [-f text|json]\n"
-        "               [--stats] [--frontend auto|token|clang]\n"
-        "               [--compile-commands FILE] <path>...\n";
+        "               [--stats] [--compile-commands FILE] <path>...\n";
 }
 
 // Accepts "--opt value" and "--opt=value"; returns false on missing value.
@@ -132,19 +127,6 @@ bool parseArgs(const std::vector<std::string>& args, Options* opt,
         return false;
       }
       opt->format = v;
-      continue;
-    }
-    if (is("--frontend")) {
-      std::string v;
-      if (!takeValue(args, i, "--frontend", &v)) {
-        *error = "--frontend needs a value";
-        return false;
-      }
-      if (v != "auto" && v != "token" && v != "clang") {
-        *error = "unknown frontend '" + v + "' (auto|token|clang)";
-        return false;
-      }
-      opt->frontend = v;
       continue;
     }
     if (is("--compile-commands")) {
@@ -225,26 +207,16 @@ std::string stripDotSlash(std::string p) {
   return p;
 }
 
-// Loads one file through the selected frontend.
-bool loadFile(const std::string& path, const std::string& frontend,
-              FileModel* out, std::string* error) {
-  gpd::srclint::LexResult lexed;
-  const bool wantClang =
-      frontend == "clang" ||
-      (frontend == "auto" && gpd::srclint::clangFrontendAvailable());
-  if (wantClang) {
-    if (!gpd::srclint::lexWithClang(path, {}, &lexed, error)) return false;
-  } else {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      *error = "cannot read '" + path + "'";
-      return false;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    lexed = gpd::srclint::lex(buf.str());
+// Lexes one file and builds its structural model.
+bool loadFile(const std::string& path, FileModel* out, std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    *error = "cannot read '" + path + "'";
+    return false;
   }
-  *out = gpd::srclint::buildModel(path, std::move(lexed));
+  std::stringstream buf;
+  buf << in.rdbuf();
+  *out = gpd::srclint::buildModel(path, gpd::srclint::lex(buf.str()));
   out->relPath = stripDotSlash(out->relPath);
   return true;
 }
@@ -323,11 +295,6 @@ int main(int argc, char** argv) {
     }
     return kExitClean;
   }
-  if (opt.frontend == "clang" && !gpd::srclint::clangFrontendAvailable()) {
-    std::cerr << "srclint: this build has no libclang; rebuild with "
-                 "GPD_SRCLINT and a clang-c SDK, or use --frontend=token\n";
-    return kExitUsage;
-  }
   if (opt.paths.empty() && opt.compileCommands.empty()) {
     std::cerr << "srclint: no input paths\n";
     usage(std::cerr);
@@ -345,7 +312,7 @@ int main(int argc, char** argv) {
     models.reserve(files.size());
     for (const std::string& path : files) {
       FileModel model;
-      if (!loadFile(path, opt.frontend, &model, &error)) {
+      if (!loadFile(path, &model, &error)) {
         std::cerr << "srclint: " << error << "\n";
         return kExitUsage;
       }
@@ -400,13 +367,7 @@ int main(int argc, char** argv) {
         std::cerr << "srclint-allow: " << found["srclint-allow"]
                   << " finding(s), 0 allowed\n";
       }
-      std::cerr << "files scanned: " << models.size() << "\n"
-                << "frontend: "
-                << (opt.frontend == "auto"
-                        ? (gpd::srclint::clangFrontendAvailable() ? "clang"
-                                                                  : "token")
-                        : opt.frontend)
-                << "\n";
+      std::cerr << "files scanned: " << models.size() << "\n";
     }
 
     return emitted.empty() ? kExitClean : kExitFindings;
