@@ -1,7 +1,8 @@
 // E8 + E10 — Theorems 4–7: exact-sum detection with |Δ| ≤ 1.
 //
-// E8: possibly(Σxᵢ = K) via the Theorem 7 reduction (two min-cut solves +
-// an intermediate-value walk) against exhaustive lattice search. Expected
+// E8: possibly(Σxᵢ = K) via the Theorem 7 reduction (one min-cut solve for
+// the branch's side + an intermediate-value walk) against exhaustive
+// lattice search. Expected
 // shape: polynomial vs exponential, with identical verdicts.
 // E10: definitely(Σxᵢ = K) via Theorem 7(2) against the direct
 // lattice-definitely of the equality itself — verdicts must coincide.

@@ -283,7 +283,8 @@ AnalysisReport planSum(const VectorClocks& clocks, const VariableTrace& trace,
   if (m == Modality::Possibly) {
     if (!equality) {
       report.steps.push_back(
-          step(Algorithm::MinCutExtrema, true, "one min-cut per extremum",
+          step(Algorithm::MinCutExtrema, true,
+               "one min-cut for the side the relop needs (≠: at most two)",
                "inequality relop: compare K against the sum extrema over all "
                "consistent cuts (max-weight closure)"));
       report.steps.push_back(step(Algorithm::LatticeEnumeration, true,
@@ -294,7 +295,7 @@ AnalysisReport planSum(const VectorClocks& clocks, const VariableTrace& trace,
     if (delta <= 1) {
       report.steps.push_back(
           step(Algorithm::Theorem7ExactSum, true,
-               "two min-cuts + one lattice path",
+               "at most one min-cut + one lattice path",
                "Σ = K with |ΔS| ≤ 1: Theorem 7(1) intermediate "
                "value argument"));
       report.steps.push_back(step(Algorithm::LatticeEnumeration, true,

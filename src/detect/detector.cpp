@@ -391,6 +391,11 @@ void Detector::adopt(analyze::AnalysisReport report) {
   lastSlice_.reset();
 }
 
+const EventOrder& Detector::eventOrder() {
+  if (!eventOrder_) eventOrder_.emplace(trace_->computation());
+  return *eventOrder_;
+}
+
 std::optional<Cut> Detector::possibly(const ConjunctivePredicate& pred) {
   control::Budget unlimited;
   return completeWitness(possibly(pred, unlimited));
@@ -545,7 +550,7 @@ Detection Detector::possibly(const SumPredicate& pred,
         switch (step.algorithm) {
           case analyze::Algorithm::MinCutExtrema:
           case analyze::Algorithm::Theorem7ExactSum:
-            return exactPossibly(possiblySum(clocks_, *trace_, pred));
+            return exactPossibly(possiblySum(eventOrder(), *trace_, pred));
           case analyze::Algorithm::LatticeEnumeration: {
             const lattice::CutSearchResult search =
                 detectExactSum(clocks_, *trace_, pred, &budget);
@@ -566,7 +571,8 @@ Detection Detector::possibly(const SymmetricPredicate& pred,
       report_, budget, lastAlgorithm_, [&](const analyze::PlanStep& step) {
         switch (step.algorithm) {
           case analyze::Algorithm::SymmetricExactSumDisjunction:
-            return exactPossibly(possiblySymmetric(clocks_, *trace_, pred));
+            return exactPossibly(
+                possiblySymmetric(eventOrder(), *trace_, pred));
           case analyze::Algorithm::LatticeEnumeration: {
             const lattice::CutSearchResult search =
                 lattice::findSatisfyingCut(clocks_, pred.bind(*trace_),

@@ -1,7 +1,5 @@
 #include "detect/sum.h"
 
-#include <algorithm>
-
 #include "flow/closure.h"
 #include "lattice/explore.h"
 #include "obs/trace.h"
@@ -10,32 +8,6 @@
 namespace gpd::detect {
 
 namespace {
-
-// Per-event change to S (0 for initial events), plus S at the initial cut.
-struct Deltas {
-  std::vector<std::int64_t> perNode;
-  std::int64_t base = 0;
-};
-
-std::int64_t maxAbsEventDelta(const Deltas& d) {
-  std::int64_t best = 0;
-  for (std::int64_t v : d.perNode) best = std::max(best, std::abs(v));
-  return best;
-}
-
-Deltas sumDeltas(const VariableTrace& trace, const std::vector<SumTerm>& terms) {
-  const Computation& comp = trace.computation();
-  Deltas d;
-  d.perNode.assign(comp.totalEvents(), 0);
-  for (const SumTerm& t : terms) {
-    d.base += trace.value(t.process, t.var, 0);
-    for (int i = 1; i < comp.eventCount(t.process); ++i) {
-      d.perNode[comp.node({t.process, i})] +=
-          trace.value(t.process, t.var, i) - trace.value(t.process, t.var, i - 1);
-    }
-  }
-  return d;
-}
 
 Cut cutFromClosure(const Computation& comp, const std::vector<char>& inSet) {
   Cut cut(std::vector<int>(comp.processCount(), 0));
@@ -47,97 +19,123 @@ Cut cutFromClosure(const Computation& comp, const std::vector<char>& inSet) {
   return cut;
 }
 
+}  // namespace
+
+EventOrder::EventOrder(const Computation& c) : comp(&c) {
+  const graph::Dag dag = c.toDagWithoutInitialEdges();
+  auto order = dag.topologicalOrder();
+  GPD_CHECK(order.has_value());
+  topological = std::move(*order);
+  reversed = dag.reversed();
+}
+
+SumRange::SumRange(const EventOrder& order, const VariableTrace& trace,
+                   const std::vector<SumTerm>& terms)
+    : order_(&order), deltas_(sumDeltas(trace, terms)) {
+  GPD_CHECK(trace.computation().totalEvents() == order.comp->totalEvents());
+}
+
+const SumExtremum& SumRange::max() {
+  if (!max_) max_ = solve(true);
+  return *max_;
+}
+
+const SumExtremum& SumRange::min() {
+  if (!min_) min_ = solve(false);
+  return *min_;
+}
+
+// Ideals (down-closed sets) of the event order are closures of the reversed
+// DAG. Initial events carry weight 0, so whether the closure includes them
+// is irrelevant to the optimum, and cutFromClosure only reads non-initial
+// membership. The min side is the max-weight closure under −Δ. The bound
+// checked by sumDeltas keeps every weight, total and negation in range.
+SumExtremum SumRange::solve(bool maximize) const {
+  std::vector<std::int64_t> weight = deltas_.perNode;
+  if (!maximize) {
+    for (std::int64_t& w : weight) w = -w;
+  }
+  const flow::ClosureResult res =
+      flow::maxWeightClosure(order_->reversed, weight);
+  return {maximize ? deltas_.base + res.weight : deltas_.base - res.weight,
+          cutFromClosure(*order_->comp, res.inClosure)};
+}
+
 // Theorem 4 walk: execute the events of `target` one at a time from the
-// initial cut (any topological order — every prefix is a consistent cut) and
+// initial cut (in topological order — every prefix is a consistent cut) and
 // return the first cut whose running sum equals K. Requires |Δ| ≤ 1 and K
 // between S(⊥) and S(target).
-Cut walkUntilSum(const VectorClocks& clocks, const Deltas& deltas,
-                 const Cut& target, std::int64_t k) {
-  const Computation& comp = clocks.computation();
+Cut SumRange::walkUntilSum(const Cut& target, std::int64_t k) const {
+  const Computation& comp = *order_->comp;
   Cut cut = initialCut(comp);
-  std::int64_t sum = deltas.base;
+  std::int64_t sum = deltas_.base;
   if (sum == k) return cut;
-  const graph::Dag dag = comp.toDagWithoutInitialEdges();
-  const auto order = dag.topologicalOrder();
-  GPD_CHECK(order.has_value());
-  for (int node : *order) {
+  for (int node : order_->topological) {
     const EventId e = comp.event(node);
     if (e.isInitial() || !target.contains(e)) continue;
     GPD_DCHECK(cut.last[e.process] + 1 == e.index);
     ++cut.last[e.process];
-    sum += deltas.perNode[node];
+    sum += deltas_.perNode[node];
     if (sum == k) return cut;
   }
   GPD_CHECK_MSG(false, "intermediate-value walk missed K — |Δ| > 1?");
   return cut;
 }
 
-}  // namespace
-
-SumExtrema sumExtrema(const VectorClocks& clocks, const VariableTrace& trace,
-                      const std::vector<SumTerm>& terms) {
-  const Computation& comp = clocks.computation();
-  const Deltas deltas = sumDeltas(trace, terms);
-  // Ideals (down-closed sets) of the event order are closures of the
-  // *reversed* DAG; initial events carry weight 0, so whether the closure
-  // includes them is irrelevant to the optimum and cutFromClosure only reads
-  // non-initial membership.
-  const graph::Dag reversed = comp.toDagWithoutInitialEdges().reversed();
-
-  SumExtrema ext;
-  const auto maxRes = flow::maxWeightClosure(reversed, deltas.perNode);
-  ext.maxSum = deltas.base + maxRes.weight;
-  ext.argMax = cutFromClosure(comp, maxRes.inClosure);
-
-  std::vector<std::int64_t> negated(deltas.perNode.size());
-  for (std::size_t i = 0; i < negated.size(); ++i) negated[i] = -deltas.perNode[i];
-  const auto minRes = flow::maxWeightClosure(reversed, negated);
-  ext.minSum = deltas.base - minRes.weight;
-  ext.argMin = cutFromClosure(comp, minRes.inClosure);
-
-  GPD_DCHECK(clocks.isConsistent(ext.argMax));
-  GPD_DCHECK(clocks.isConsistent(ext.argMin));
-  return ext;
-}
-
-std::optional<Cut> possiblySum(const VectorClocks& clocks,
-                               const VariableTrace& trace,
-                               const SumPredicate& pred) {
-  GPD_TRACE_SPAN("detect.sum.possibly");
-  const SumExtrema ext = sumExtrema(clocks, trace, pred.terms);
-  switch (pred.relop) {
+std::optional<Cut> SumRange::possibly(Relop relop, std::int64_t k) {
+  switch (relop) {
     case Relop::Less:
-      if (ext.minSum < pred.k) return ext.argMin;
+      if (min().sum < k) return min().arg;
       return std::nullopt;
     case Relop::LessEq:
-      if (ext.minSum <= pred.k) return ext.argMin;
+      if (min().sum <= k) return min().arg;
       return std::nullopt;
     case Relop::Greater:
-      if (ext.maxSum > pred.k) return ext.argMax;
+      if (max().sum > k) return max().arg;
       return std::nullopt;
     case Relop::GreaterEq:
-      if (ext.maxSum >= pred.k) return ext.argMax;
+      if (max().sum >= k) return max().arg;
       return std::nullopt;
     case Relop::NotEqual:
-      if (ext.minSum != pred.k) return ext.argMin;
-      if (ext.maxSum != pred.k) return ext.argMax;
+      if (min().sum != k) return min().arg;
+      if (max().sum != k) return max().arg;
       return std::nullopt;  // S is identically K
     case Relop::Equal:
       break;  // handled below
   }
   // Theorem 7(1): with |Δ| ≤ 1, possibly(S = K) ⟺
   // (S(⊥) ≤ K ∧ possibly(S ≥ K)) ∨ (S(⊥) ≥ K ∧ possibly(S ≤ K)).
-  const Deltas deltas = sumDeltas(trace, pred.terms);
-  GPD_CHECK_MSG(maxAbsEventDelta(deltas) <= 1,
+  GPD_CHECK_MSG(deltas_.maxAbs <= 1,
                 "Theorem 4 requires every event to change the sum by at most "
                 "1; use detectExactSum for arbitrary deltas");
-  if (deltas.base <= pred.k && ext.maxSum >= pred.k) {
-    return walkUntilSum(clocks, deltas, ext.argMax, pred.k);
-  }
-  if (deltas.base >= pred.k && ext.minSum <= pred.k) {
-    return walkUntilSum(clocks, deltas, ext.argMin, pred.k);
-  }
+  if (deltas_.base == k) return initialCut(*order_->comp);
+  if (deltas_.base < k && max().sum >= k) return walkUntilSum(max().arg, k);
+  if (deltas_.base > k && min().sum <= k) return walkUntilSum(min().arg, k);
   return std::nullopt;
+}
+
+SumExtrema sumExtrema(const VectorClocks& clocks, const VariableTrace& trace,
+                      const std::vector<SumTerm>& terms) {
+  const EventOrder order(clocks.computation());
+  SumRange range(order, trace, terms);
+  SumExtrema ext{range.min().sum, range.max().sum, range.min().arg,
+                 range.max().arg};
+  GPD_DCHECK(clocks.isConsistent(ext.argMax));
+  GPD_DCHECK(clocks.isConsistent(ext.argMin));
+  return ext;
+}
+
+std::optional<Cut> possiblySum(const EventOrder& order,
+                               const VariableTrace& trace,
+                               const SumPredicate& pred) {
+  GPD_TRACE_SPAN("detect.sum.possibly");
+  return SumRange(order, trace, pred.terms).possibly(pred.relop, pred.k);
+}
+
+std::optional<Cut> possiblySum(const VectorClocks& clocks,
+                               const VariableTrace& trace,
+                               const SumPredicate& pred) {
+  return possiblySum(EventOrder(clocks.computation()), trace, pred);
 }
 
 lattice::CutSearchResult detectExactSum(const VectorClocks& clocks,
@@ -166,8 +164,8 @@ SumDecision definitelySum(const VectorClocks& clocks,
   // Tri-valued disjunction: a branch decided true settles the predicate even
   // when the other branch ran out of budget; "false" needs every applicable
   // branch decided false.
-  const Deltas deltas = sumDeltas(trace, pred.terms);
-  GPD_CHECK_MSG(maxAbsEventDelta(deltas) <= 1,
+  const SumDeltas deltas = sumDeltas(trace, pred.terms);
+  GPD_CHECK_MSG(deltas.maxAbs <= 1,
                 "Theorem 7(2) requires every event to change the sum by at "
                 "most 1");
   const BoundSum sum(trace, pred.terms);

@@ -23,14 +23,62 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "clocks/vector_clock.h"
 #include "computation/cut.h"
 #include "control/budget.h"
+#include "graph/dag.h"
 #include "lattice/explore.h"
 #include "predicates/relational.h"
 
 namespace gpd::detect {
+
+// The event order the polynomial sum detectors work on. It depends only on
+// the computation, so a Detector builds it once and every sum query shares
+// it.
+struct EventOrder {
+  explicit EventOrder(const Computation& comp);
+
+  const Computation* comp;
+  // The event DAG reversed: ideals of the event order (consistent cuts)
+  // are exactly its closures.
+  graph::Dag reversed;
+  // A topological order of the events, for the Theorem 4 walk.
+  std::vector<int> topological;
+};
+
+// One side of S's range over the consistent cuts: the extremal sum and the
+// smallest consistent cut attaining it (unique; see flow/closure.h).
+struct SumExtremum {
+  std::int64_t sum = 0;
+  Cut arg;
+};
+
+// The range of one term set's S, each side solved on first use with one
+// max-weight closure and then kept. A query solves only the sides its relop
+// or Theorem 7 branch needs, and the disjuncts of a symmetric predicate
+// (same terms, different K) share them. Holds a reference to `order`.
+class SumRange {
+ public:
+  SumRange(const EventOrder& order, const VariableTrace& trace,
+           const std::vector<SumTerm>& terms);
+
+  const SumExtremum& max();
+  const SumExtremum& min();
+
+  // possibly(S relop K), as possiblySum documents.
+  std::optional<Cut> possibly(Relop relop, std::int64_t k);
+
+ private:
+  SumExtremum solve(bool maximize) const;
+  Cut walkUntilSum(const Cut& target, std::int64_t k) const;
+
+  const EventOrder* order_;
+  SumDeltas deltas_;
+  std::optional<SumExtremum> max_;
+  std::optional<SumExtremum> min_;
+};
 
 struct SumExtrema {
   std::int64_t minSum = 0;
@@ -39,13 +87,21 @@ struct SumExtrema {
   Cut argMax;
 };
 
-// Extremum of S over all consistent cuts, via two max-weight-closure solves.
+// Both sides of S's range: two one-sided closure solves. A query that needs
+// one side should use possiblySum, which solves only that side.
 SumExtrema sumExtrema(const VectorClocks& clocks, const VariableTrace& trace,
                       const std::vector<SumTerm>& terms);
 
 // possibly(Σ xᵢ relop K): returns a witness cut, or nullopt. For
 // Relop::Equal the Theorem 4 precondition |Δ| ≤ 1 is enforced (GPD_CHECK);
-// all other relops work for arbitrary Δ.
+// all other relops work for arbitrary Δ. Solves at most one closure per
+// relop: <, ≤ the min side, >, ≥ the max side, ≠ the min side and the max
+// only when min S = K, and = the side its Theorem 7(1) branch walks toward
+// (none when K = S(⊥), whose witness is ⊥). Throws InputError when the sum
+// overflows int64 (see sumDeltas).
+std::optional<Cut> possiblySum(const EventOrder& order,
+                               const VariableTrace& trace,
+                               const SumPredicate& pred);
 std::optional<Cut> possiblySum(const VectorClocks& clocks,
                                const VariableTrace& trace,
                                const SumPredicate& pred);

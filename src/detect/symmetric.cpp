@@ -5,14 +5,21 @@
 
 namespace gpd::detect {
 
-std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
+std::optional<Cut> possiblySymmetric(const EventOrder& order,
                                      const VariableTrace& trace,
                                      const SymmetricPredicate& pred) {
   GPD_TRACE_SPAN("detect.symmetric.possibly");
-  for (const SumPredicate& sum : pred.asExactSums()) {
-    if (auto cut = possiblySum(clocks, trace, sum)) return cut;
+  SumRange range(order, trace, pred.vars);
+  for (int t : pred.trueCounts) {
+    if (auto cut = range.possibly(Relop::Equal, t)) return cut;
   }
   return std::nullopt;
+}
+
+std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
+                                     const VariableTrace& trace,
+                                     const SymmetricPredicate& pred) {
+  return possiblySymmetric(EventOrder(clocks.computation()), trace, pred);
 }
 
 SumDecision definitelySymmetric(const VectorClocks& clocks,

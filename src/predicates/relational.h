@@ -55,6 +55,22 @@ struct BoundSumPredicate {
   }
 };
 
+// S as a function of the cut: S(C) = base + Σ_{e ∈ C} perNode[e], where
+// base = S(⊥) and perNode[e] is the change event e applies to S (0 for
+// initial events; terms sharing a process accumulate).
+struct SumDeltas {
+  std::vector<std::int64_t> perNode;  // indexed by Computation::node
+  std::int64_t base = 0;
+  std::int64_t maxAbs = 0;  // max over events of |perNode[e]|
+};
+
+// Computes the deltas with checked arithmetic. Trace values span the whole
+// int64 range, so this throws InputError unless |S(⊥)| + Σₑ |Δ(e)| + 1 fits
+// in int64. That one bound covers the sum at every cut, every closure total
+// over ±Δ and the closure's "infinite" capacity (src/flow).
+SumDeltas sumDeltas(const VariableTrace& trace,
+                    const std::vector<SumTerm>& terms);
+
 struct SumPredicate {
   std::vector<SumTerm> terms;
   Relop relop = Relop::Equal;
@@ -83,7 +99,7 @@ struct SumPredicate {
 
   // Max over events of |ΔS| — the change a single event applies to the whole
   // sum (terms sharing a process accumulate). The Theorem 4/7 precondition
-  // is eventDeltaBound(trace) <= 1.
+  // is eventDeltaBound(trace) <= 1. Throws InputError where sumDeltas does.
   std::int64_t eventDeltaBound(const VariableTrace& trace) const;
 
   std::string toString() const;

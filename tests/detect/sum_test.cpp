@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "computation/random.h"
+#include "detect/detector.h"
 #include "graph/linear_extension.h"
 #include "lattice/explore.h"
 #include "predicates/random_trace.h"
@@ -176,6 +177,24 @@ TEST(PossiblySumTest, InitialCutWitnessWhenBaseEqualsK) {
   const auto witness = possiblySum(vc, trace, pred);
   ASSERT_TRUE(witness.has_value());
   EXPECT_EQ(witness->level(), 0);
+}
+
+// Σ|Δ| beyond int64 is bad input on every sum path, not a wrapped verdict.
+TEST(PossiblySumTest, OverflowingSumIsAnInputError) {
+  ComputationBuilder b(2);
+  b.appendEvent(0);
+  b.appendEvent(1);
+  const Computation c = std::move(b).build();
+  VariableTrace trace(c);
+  trace.define(0, "x", {0, 6'000'000'000'000'000'000});
+  trace.define(1, "x", {0, 6'000'000'000'000'000'000});
+  const VectorClocks vc(c);
+  const SumPredicate pred{{{0, "x"}, {1, "x"}}, Relop::GreaterEq, 3};
+  EXPECT_THROW(possiblySum(vc, trace, pred), InputError);
+  EXPECT_THROW(sumExtrema(vc, trace, pred.terms), InputError);
+  Detector det(trace);
+  EXPECT_THROW(det.possibly(pred), InputError);
+  EXPECT_THROW(det.definitely(pred), InputError);
 }
 
 // Theorem 7(2): definitely(S = K) ⟺ the inequality-modality disjunction.

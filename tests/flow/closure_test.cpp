@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace gpd::flow {
@@ -76,6 +79,18 @@ TEST(ClosureTest, UnprofitableDependencyDropsProject) {
   const auto res = maxWeightClosure(g, {5, -8});
   EXPECT_EQ(res.weight, 0);
   EXPECT_FALSE(res.inClosure[0]);
+}
+
+TEST(ClosureTest, WeightsBeyondInt64AreRejected) {
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const graph::Dag g(2);
+  EXPECT_THROW(maxWeightClosure(g, {max, 1}), CheckFailure);
+  // The "infinite" capacity must still exceed the positive total.
+  EXPECT_THROW(maxWeightClosure(g, {max, 0}), CheckFailure);
+  EXPECT_THROW(
+      maxWeightClosure(g, {std::numeric_limits<std::int64_t>::min(), 0}),
+      CheckFailure);
+  EXPECT_EQ(maxWeightClosure(g, {max - 1, -1}).weight, max - 1);
 }
 
 TEST(ClosureTest, MatchesBruteForceOnRandomInstances) {

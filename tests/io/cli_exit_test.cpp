@@ -40,6 +40,14 @@ int runTool(const std::string& args) {
   return WEXITSTATUS(status);
 }
 
+std::string writeTempFile(const std::string& name, const std::string& bytes) {
+  const std::string path = uniqueTempPath(name);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  os.close();
+  return path;
+}
+
 class CliExitTest : public ::testing::Test {
  protected:
   // One shared trace for the suite: the `random` workload defines a boolean
@@ -66,6 +74,24 @@ TEST_F(CliExitTest, BadInputExitsOne) {
   // Budget values must be positive integers.
   EXPECT_EQ(runTool("detect " + tracePath() + " conj --max-cuts 0 0:b"), 1);
   EXPECT_EQ(runTool("detect " + tracePath() + " conj --budget-ms x 0:b"), 1);
+}
+
+// Sums whose arithmetic would overflow int64 are bad input (exit 1), not a
+// wrapped verdict and not an internal failure.
+TEST_F(CliExitTest, OverflowingSumTraceExitsOne) {
+  const std::string stepOverflow = writeTempFile(
+      "gpd_cli_exit_step_overflow.trace",
+      "gpd-trace 1\nprocesses 1\nevents 3\n"
+      "var 0 x 0 9223372036854775807 -9223372036854775808\nend\n");
+  const std::string totalOverflow = writeTempFile(
+      "gpd_cli_exit_total_overflow.trace",
+      "gpd-trace 1\nprocesses 2\nevents 2 2\n"
+      "var 0 x 0 6000000000000000000\nvar 1 x 0 6000000000000000000\nend\n");
+  for (const std::string& path : {stepOverflow, totalOverflow}) {
+    EXPECT_EQ(runTool("detect " + path + " sum ge 3 x"), 1) << path;
+    EXPECT_EQ(runTool("detect " + path + " sum eq 3 x"), 1) << path;
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(CliExitTest, InternalInvariantFailureExitsTwo) {
@@ -100,14 +126,6 @@ int runServer(const std::string& args, const std::string& stdinPath = "") {
   EXPECT_NE(status, -1) << "failed to spawn " << cmd;
   EXPECT_TRUE(WIFEXITED(status)) << "gpdd killed by signal: " << cmd;
   return WEXITSTATUS(status);
-}
-
-std::string writeTempFile(const std::string& name, const std::string& bytes) {
-  const std::string path = uniqueTempPath(name);
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os.close();
-  return path;
 }
 
 TEST(GpddExitTest, CleanFramedSessionExitsZero) {

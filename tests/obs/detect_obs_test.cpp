@@ -128,6 +128,50 @@ TEST_F(DetectObsTest, UnbudgetedChainCoverFeedsTheKernelsCombinationCount) {
   EXPECT_GE(checked, 10) << "too few seeds routed to singular-chain-cover";
 }
 
+// flow_closures_solved per query: each sum query solves only the closure
+// sides its relop or Theorem 7 branch needs, and the disjuncts of a
+// symmetric predicate share them.
+TEST_F(DetectObsTest, SumQueriesSolveOnlyTheClosuresTheyNeed) {
+  Rng rng(5);
+  RandomComputationOptions opt;
+  opt.processes = 4;
+  opt.eventsPerProcess = 8;
+  const Computation comp = randomComputation(opt, rng);
+  VariableTrace trace(comp);
+  defineRandomCounters(trace, "y", 0, 1, rng);  // |ΔS| ≤ 1: Theorem 7
+  defineRandomBools(trace, "b", 0.5, rng);
+  std::vector<SumTerm> ys;
+  std::vector<SumTerm> bs;
+  for (ProcessId p = 0; p < comp.processCount(); ++p) {
+    ys.push_back({p, "y"});
+    bs.push_back({p, "b"});
+  }
+  detect::Detector det(trace);
+  const auto closures = [&](const auto& pred) {
+    registry().reset();
+    (void)det.possibly(pred);
+    return counterValue("flow_closures_solved");
+  };
+
+  EXPECT_EQ(closures(SumPredicate{ys, Relop::GreaterEq, 2}), 1u);
+  EXPECT_EQ(det.lastAlgorithm(), "min-cut-extrema");
+  // S(⊥) = 0: K = S(⊥) is witnessed by ⊥ itself, with no closure.
+  EXPECT_EQ(closures(SumPredicate{ys, Relop::Equal, 0}), 0u);
+  EXPECT_EQ(det.lastAlgorithm(), "theorem-7-exact-sum");
+  EXPECT_EQ(closures(SumPredicate{ys, Relop::Equal, 3}), 1u);
+  EXPECT_EQ(closures(SumPredicate{ys, Relop::Equal, -3}), 1u);
+
+  SymmetricPredicate sym;
+  sym.vars = bs;
+  sym.trueCounts = {0, 2, 4};
+  EXPECT_LE(closures(sym), 2u);
+  EXPECT_EQ(det.lastAlgorithm(), "symmetric-exact-sum-disjunction");
+  // Three counts above the arity: every disjunct asks for the max side,
+  // which is solved once.
+  sym.trueCounts = {5, 6, 7};
+  EXPECT_EQ(closures(sym), 1u);
+}
+
 #endif  // GPD_OBS_DISABLED
 
 }  // namespace

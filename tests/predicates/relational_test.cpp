@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "util/check.h"
+
 namespace gpd {
 namespace {
 
@@ -42,6 +46,58 @@ TEST(SumPredicateTest, DeltaBounds) {
   SumPredicate stacked{{{0, "x"}, {0, "x2"}}, Relop::Equal, 0};
   EXPECT_EQ(stacked.deltaBound(t), 1);
   EXPECT_EQ(stacked.eventDeltaBound(t), 2);
+}
+
+TEST(SumPredicateTest, SumDeltasAccumulatePerEvent) {
+  const Computation c = twoProc();
+  VariableTrace t(c);
+  t.define(0, "x", {4, 6, 3});
+  t.define(0, "x2", {1, 2, 3});
+  t.define(1, "y", {-2, 5});
+  const SumDeltas d = sumDeltas(t, {{0, "x"}, {0, "x2"}, {1, "y"}});
+  EXPECT_EQ(d.base, 3);
+  EXPECT_EQ(d.perNode[c.node({0, 0})], 0);
+  EXPECT_EQ(d.perNode[c.node({0, 1})], 3);
+  EXPECT_EQ(d.perNode[c.node({0, 2})], -2);
+  EXPECT_EQ(d.perNode[c.node({1, 1})], 7);
+  EXPECT_EQ(d.maxAbs, 7);
+}
+
+// Trace values span the full int64 range; the sum arithmetic must reject
+// what it cannot represent instead of overflowing.
+TEST(SumPredicateTest, SumDeltasRejectAStepThatOverflows) {
+  const Computation c = twoProc();
+  VariableTrace t(c);
+  t.define(0, "x", {0, std::numeric_limits<std::int64_t>::max(),
+                    std::numeric_limits<std::int64_t>::min()});
+  t.define(1, "x", {0, 0});
+  const SumPredicate pred{{{0, "x"}, {1, "x"}}, Relop::GreaterEq, 3};
+  EXPECT_THROW(sumDeltas(t, pred.terms), InputError);
+  EXPECT_THROW(pred.eventDeltaBound(t), InputError);
+}
+
+TEST(SumPredicateTest, SumDeltasRejectTotalsBeyondInt64) {
+  const Computation c = twoProc();
+  VariableTrace t(c);
+  // Each step fits, but the two together exceed INT64_MAX.
+  t.define(0, "x", {0, 6'000'000'000'000'000'000, 6'000'000'000'000'000'000});
+  t.define(1, "x", {0, 6'000'000'000'000'000'000});
+  EXPECT_THROW(sumDeltas(t, {{0, "x"}, {1, "x"}}), InputError);
+  // One of them alone is fine.
+  EXPECT_EQ(sumDeltas(t, {{0, "x"}}).maxAbs, 6'000'000'000'000'000'000);
+}
+
+TEST(SumPredicateTest, SumDeltasAcceptTheLargestRepresentableRange) {
+  const Computation c = twoProc();
+  VariableTrace t(c);
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  // |S(⊥)| + Σ|Δ| + 1 = INT64_MAX exactly.
+  t.define(0, "x", {-1, max - 3, max - 3});
+  t.define(1, "x", {0, 0});
+  EXPECT_EQ(sumDeltas(t, {{0, "x"}, {1, "x"}}).maxAbs, max - 2);
+  // One more unit of |S(⊥)| does not fit.
+  t.define(0, "y", {-2, max - 3, max - 3});
+  EXPECT_THROW(sumDeltas(t, {{0, "y"}, {1, "x"}}), InputError);
 }
 
 TEST(SumPredicateTest, ToStringReadable) {
