@@ -280,6 +280,20 @@ AnalysisReport planSum(const VectorClocks& clocks, const VariableTrace& trace,
   deltaNote << "per-event sum change bound |ΔS| = " << delta;
   note(report, deltaNote.str());
 
+  // For Σ = K the detector runs a range test before any lattice search: K
+  // outside [min S, max S] is a "no" from two closures (Sec. 4.2).
+  const auto noteRangeTest = [&] {
+    if (!equality) return;
+    for (PlanStep& s : report.steps) {
+      if (s.algorithm == Algorithm::LatticeEnumeration ||
+          s.algorithm == Algorithm::LatticeDefinitely) {
+        s.note =
+            "range test first (max S, then min S: one min-cut each); the "
+            "lattice search runs only when min S ≤ K ≤ max S";
+      }
+    }
+  };
+
   if (m == Modality::Possibly) {
     if (!equality) {
       report.steps.push_back(
@@ -312,6 +326,7 @@ AnalysisReport planSum(const VectorClocks& clocks, const VariableTrace& trace,
                "Σ = K with arbitrary Δ is NP-complete (Theorem 2): "
                "exhaustive lattice"));
     }
+    noteRangeTest();
     return report;
   }
 
@@ -335,6 +350,7 @@ AnalysisReport planSum(const VectorClocks& clocks, const VariableTrace& trace,
         Algorithm::LatticeDefinitely, true, latticeBound(clocks.computation()),
         "no structural shortcut for this sum: exhaustive lattice"));
   }
+  noteRangeTest();
   return report;
 }
 
@@ -461,6 +477,7 @@ void renderPlanText(std::ostream& os, const AnalysisReport& report) {
       os << '\n';
     }
     os << "     why:  " << s.rationale << '\n';
+    if (!s.note.empty()) os << "     note: " << s.note << '\n';
   }
   for (const Diagnostic& d : report.notes) {
     os << "note: " << d.message << '\n';
@@ -537,7 +554,8 @@ void renderPlanJson(std::ostream& os, const AnalysisReport& report) {
     os << ", \"predictionSaturated\": "
        << (s.predictionSaturated ? "true" : "false");
     os << ", \"bound\": \"" << jsonEscape(s.bound) << "\", \"rationale\": \""
-       << jsonEscape(s.rationale) << "\"}";
+       << jsonEscape(s.rationale) << "\", \"note\": \"" << jsonEscape(s.note)
+       << "\"}";
   }
   if (!report.steps.empty()) os << "\n  ";
   os << "],\n  \"notes\": [";

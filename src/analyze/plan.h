@@ -69,6 +69,7 @@ struct PlanStep {
   bool predictionSaturated = false;  // predictedSublatticeCuts hit 2^64-1
   std::string bound;      // cost formula, e.g. "Π cj = 3·2 = 6"
   std::string rationale;  // why this step is (in)applicable / ranked here
+  std::string note;       // a pre-check the step runs first; may be empty
 };
 
 // The analysis artifact detection dispatches on.

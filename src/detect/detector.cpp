@@ -35,6 +35,8 @@ struct StepRun {
   // tracing — e.g. the slice pre-pass lacked budget headroom. The walk
   // records it as a skipped step and falls through to the next one.
   std::string skipNote;
+  // A lattice-definitely "no": the ⊥→⊤ run of ¬φ-cuts that proves it.
+  std::vector<Cut> avoidingRun;
 };
 
 StepRun exactRun(Outcome outcome, std::optional<Cut> witness = std::nullopt) {
@@ -59,6 +61,40 @@ StepRun exactPossibly(std::optional<Cut> witness) {
 
 StepRun exactDefinitely(bool holds) {
   return exactRun(holds ? Outcome::Yes : Outcome::No);
+}
+
+StepRun latticeDefinitely(lattice::DefinitelyDecision d) {
+  if (!d.decided) return stoppedRun();
+  StepRun run = exactDefinitely(d.holds);
+  run.avoidingRun = std::move(d.avoidingRun);
+  return run;
+}
+
+// The range test ahead of an exact-sum lattice step: no consistent cut has
+// S = K when K lies outside [min S, max S], and each bound costs one
+// closure (Sec. 4.2) against the NP-complete search (Theorem 2). Solves the
+// max side first and the min side only when K ≤ max S.
+bool outsideSumRange(const EventOrder& order, const VariableTrace& trace,
+                     const SumPredicate& pred) {
+  SumRange range(order, trace, pred.terms);
+  if (pred.k <= range.max().sum && pred.k >= range.min().sum) return false;
+  GPD_OBS_COUNTER_ADD("sum_range_precheck_decided", 1);
+  return true;
+}
+
+// A run from ⊥ to ⊤ that executes the events in topological order: the
+// avoiding run of a definitely(S = K) the range test refuted, since no cut
+// on any run has S = K.
+std::vector<Cut> topologicalRun(const EventOrder& order) {
+  const Computation& comp = *order.comp;
+  std::vector<Cut> run{initialCut(comp)};
+  for (const int node : order.topological) {
+    const EventId e = comp.event(node);
+    if (e.isInitial()) continue;
+    run.push_back(run.back());
+    run.back().last[e.process] = e.index;
+  }
+  return run;
 }
 
 // Truth table of the CNF's regular skeleton: ok[p][i] is true iff every
@@ -343,6 +379,7 @@ Detection walkPlan(const analyze::AnalysisReport& report,
     if (run.complete) {
       det.outcome = run.outcome;
       det.witness = std::move(run.witness);
+      det.avoidingRun = std::move(run.avoidingRun);
       det.progress = budget.progress();
       return det;
     }
@@ -359,6 +396,7 @@ Detection walkPlan(const analyze::AnalysisReport& report,
       if (run.complete) {
         det.outcome = run.outcome;
         det.witness = std::move(run.witness);
+        det.avoidingRun = std::move(run.avoidingRun);
         det.progress = budget.progress();
         return det;
       }
@@ -552,6 +590,10 @@ Detection Detector::possibly(const SumPredicate& pred,
           case analyze::Algorithm::Theorem7ExactSum:
             return exactPossibly(possiblySum(eventOrder(), *trace_, pred));
           case analyze::Algorithm::LatticeEnumeration: {
+            if (pred.relop == Relop::Equal &&
+                outsideSumRange(eventOrder(), *trace_, pred)) {
+              return exactRun(Outcome::No);
+            }
             const lattice::CutSearchResult search =
                 detectExactSum(clocks_, *trace_, pred, &budget);
             if (!search.complete) return stoppedRun();
@@ -622,13 +664,9 @@ Detection Detector::definitely(const ConjunctivePredicate& pred,
           case analyze::Algorithm::IntervalDefinitely:
             return exactDefinitely(
                 definitelyConjunctive(clocks_, *trace_, pred).holds);
-          case analyze::Algorithm::LatticeDefinitely: {
-            const lattice::DefinitelyDecision d =
-                lattice::decideDefinitely(clocks_, pred.bind(*trace_),
-                                          &budget, pool_);
-            if (!d.decided) return stoppedRun();
-            return exactDefinitely(d.holds);
-          }
+          case analyze::Algorithm::LatticeDefinitely:
+            return latticeDefinitely(lattice::decideDefinitely(
+                clocks_, pred.bind(*trace_), &budget));
           default:
             return StepRun{};
         }
@@ -644,11 +682,8 @@ Detection Detector::definitely(const CnfPredicate& pred,
         if (step.algorithm != analyze::Algorithm::LatticeDefinitely) {
           return StepRun{};
         }
-        const lattice::DefinitelyDecision d =
-            lattice::decideDefinitely(clocks_, pred.bind(*trace_), &budget,
-                                      pool_);
-        if (!d.decided) return stoppedRun();
-        return exactDefinitely(d.holds);
+        return latticeDefinitely(
+            lattice::decideDefinitely(clocks_, pred.bind(*trace_), &budget));
       });
 }
 
@@ -669,12 +704,14 @@ Detection Detector::definitely(const SumPredicate& pred,
             if (pred.relop == Relop::Equal) {
               // Σ = K with |ΔS| > 1 skips the Theorem 7(2) reduction —
               // decide against the lattice directly (definitelySum would
-              // reject the precondition).
-              const lattice::DefinitelyDecision d =
-                  lattice::decideDefinitely(clocks_, pred.bind(*trace_),
-                                            &budget, pool_);
-              if (!d.decided) return stoppedRun();
-              return exactDefinitely(d.holds);
+              // reject the precondition), after the range test.
+              if (outsideSumRange(eventOrder(), *trace_, pred)) {
+                StepRun run = exactDefinitely(false);
+                run.avoidingRun = topologicalRun(eventOrder());
+                return run;
+              }
+              return latticeDefinitely(lattice::decideDefinitely(
+                  clocks_, pred.bind(*trace_), &budget));
             }
             const SumDecision s =
                 definitelySum(clocks_, *trace_, pred, &budget);

@@ -84,6 +84,9 @@ struct Detection {
   Outcome outcome = Outcome::Unknown;
   // Witness cut for possibly-Yes (definitely never produces one).
   std::optional<Cut> witness;
+  // A lattice-definitely "no": the ⊥→⊤ run of cuts, each covering its
+  // predecessor by one event, none of which satisfies the predicate.
+  std::vector<Cut> avoidingRun;
   // Algorithm that produced the answer — identical to the unbudgeted
   // Detector::lastAlgorithm() string when the run completed in budget.
   std::string algorithm;

@@ -88,19 +88,13 @@ struct Worker {
   std::uint64_t charged = 0;
 };
 
-// A BFS in progress. Per process it keeps the clock row of the initial
-// event (rows are n-strided, VectorClocks::row), the last event index and a
-// hash weight: a cut hashes to Σ cut[q]·weight[q], so a successor's hash is
-// its parent's plus one weight and ⊥ hashes to 0. expandLevel leaves the
-// next level at `next`, or the position where its visitor stopped.
-struct Bfs {
-  Bfs(const VectorClocks& clocks, par::Pool* p)
-      : n(clocks.computation().processCount()),
-        pool(p),
-        level(n),
-        merged(n),
-        workers(static_cast<std::size_t>(p != nullptr ? p->threads() : 1),
-                Worker(n)) {
+// The computation as the kernels read it. Per process it keeps the clock
+// row of the initial event (rows are n-strided, VectorClocks::row), the last
+// event index and a hash weight: a cut hashes to Σ cut[q]·weight[q], so a
+// successor's hash is its parent's plus one weight and ⊥ hashes to 0.
+struct Geometry {
+  explicit Geometry(const VectorClocks& clocks)
+      : n(clocks.computation().processCount()) {
     std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
     for (ProcessId q = 0; q < n; ++q) {
       rows.push_back(clocks.row(q, 0));
@@ -108,16 +102,43 @@ struct Bfs {
       seed = (seed ^ (seed >> 31)) * 0xbf58476d1ce4e5b9ULL + 1;
       weights.push_back(seed | 1);
     }
+  }
+
+  // True iff p has an event after `cut` and it is enabled: its clock row is
+  // inside the cut on every other process.
+  bool enabled(const int* cut, ProcessId p) const {
+    const int next = cut[p] + 1;
+    if (next > lastIndex[p]) return false;
+    const int* row = rows[p] + static_cast<std::size_t>(next) * n;
+    for (int q = 0; q < n; ++q) {
+      if (row[q] > cut[q] && q != p) return false;
+    }
+    return true;
+  }
+
+  int n;
+  std::vector<const int*> rows;
+  std::vector<int> lastIndex;
+  std::vector<std::uint64_t> weights;
+};
+
+// A BFS in progress: the current level, whose cut hashes seed their
+// successors'. expandLevel leaves the next level at `next`, or the position
+// where its visitor stopped.
+struct Bfs : Geometry {
+  Bfs(const VectorClocks& clocks, par::Pool* p)
+      : Geometry(clocks),
+        pool(p),
+        level(n),
+        merged(n),
+        workers(static_cast<std::size_t>(p != nullptr ? p->threads() : 1),
+                Worker(n)) {
     const std::vector<int> bottom(n, 0);
     level.add(level.find(bottom.data(), 0), bottom.data(), 0);
   }
 
   void advance() { std::swap(level, *next); }
 
-  int n;
-  std::vector<const int*> rows;
-  std::vector<int> lastIndex;
-  std::vector<std::uint64_t> weights;
   par::Pool* pool;
   Level level;
   Level merged;
@@ -130,23 +151,17 @@ struct Bfs {
 struct VisitAll {};
 struct AdmitAll {};
 
-// Appends every enabled, admitted, unseen successor of `cut` to w.next. An
-// event is enabled iff its clock row is inside the cut on every other
-// process. `admit` is consulted only for a cut not yet in the level.
+// Appends every enabled, admitted, unseen successor of `cut` to w.next.
+// `admit` is consulted only for a cut not yet in the level.
 template <typename Admit>
 void expandCut(const Bfs& bfs, const int* cut, std::uint64_t hash, Worker& w,
                const Admit& admit) {
   const int n = bfs.n;
   int* succ = w.succ.data();
   for (ProcessId p = 0; p < n; ++p) {
-    const int next = cut[p] + 1;
-    if (next > bfs.lastIndex[p]) continue;
-    const int* row = bfs.rows[p] + static_cast<std::size_t>(next) * n;
-    int q = 0;
-    while (q < n && (row[q] <= cut[q] || q == p)) ++q;
-    if (q != n) continue;
+    if (!bfs.enabled(cut, p)) continue;
     std::copy(cut, cut + n, succ);
-    succ[p] = next;
+    ++succ[p];
     const std::uint64_t h = hash + bfs.weights[p];
     const std::size_t slot = w.next.find(succ, h);
     if (w.next.occupied(slot)) continue;
@@ -328,6 +343,207 @@ std::optional<Cut> explore(const VectorClocks& clocks, par::Pool* pool,
   return stop;
 }
 
+// The cuts a depth-first search has reached, keyed like the BFS by
+// Σ cut[q]·weight[q]. When the computation's box of cuts, Π_q (last[q] + 1),
+// has at most kDenseCuts members, the weights are the box's mixed radix:
+// keys are exact and the set is one bit per cut of the box, small enough to
+// stay in cache. Otherwise the weights are the BFS's hash weights and the
+// set is a Level, which keeps the cuts to tell colliding keys apart.
+class VisitedSet {
+ public:
+  static constexpr std::uint64_t kDenseCuts = std::uint64_t{1} << 23;
+
+  explicit VisitedSet(const Geometry& geo) : sparse_(geo.n) {
+    std::uint64_t box = 1;
+    for (const int last : geo.lastIndex) {
+      const auto extent = static_cast<std::uint64_t>(last) + 1;
+      if (box > kDenseCuts / extent) {
+        weights_ = geo.weights;
+        return;
+      }
+      weights_.push_back(box);
+      box *= extent;
+    }
+    dense_.assign(box / 64 + 1, 0);
+  }
+
+  // The key of the successor of a cut keyed `key` that advances p.
+  std::uint64_t successor(std::uint64_t key, ProcessId p) const {
+    return key + weights_[p];
+  }
+
+  // Adds the cut; false when it was already in.
+  bool insert(const int* cut, std::uint64_t key) {
+    if (!dense_.empty()) {
+      std::uint64_t& word = dense_[key / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (key % 64);
+      if ((word & bit) != 0) return false;
+      word |= bit;
+    } else {
+      const std::size_t slot = sparse_.find(cut, key);
+      if (sparse_.occupied(slot)) return false;
+      sparse_.add(slot, cut, key);
+    }
+    ++size_;
+    return true;
+  }
+
+  std::uint64_t size() const { return size_; }
+
+ private:
+  std::vector<std::uint64_t> weights_;
+  std::vector<std::uint64_t> dense_;  // empty: the box is too large
+  Level sparse_;
+  std::uint64_t size_ = 0;
+};
+
+// The depth-first search behind decideDefinitely. A run avoids φ iff it is
+// a monotone path of ¬φ-cuts from ⊥ to ⊤, so one such path answers "no" and
+// only an exhausted ¬φ region answers "yes". The visited set holds every
+// cut the search has reached — φ-cuts too, which block the path — so φ is
+// evaluated once per distinct cut. The stack is the current ¬φ path from ⊥:
+// its cuts n-strided in `path_`, one frame per cut with its key and the
+// next process to try advancing. Every cut pushed (and so expanded) is
+// charged to the budget, prepaid in batches of kChargeBatch as expandLevel
+// does; the live frontier is the visited set plus the stack.
+class AvoidingRunSearch {
+ public:
+  AvoidingRunSearch(const VectorClocks& clocks, const CutPredicate& phi,
+                    control::Budget* budget, ExploreResult& ex)
+      : geo_(clocks),
+        phi_(phi),
+        budget_(budget),
+        ex_(ex),
+        seen_(geo_),
+        view_(std::vector<int>(geo_.n)),
+        cutBytes_(sizeof(Cut) + sizeof(int) * static_cast<unsigned>(geo_.n)) {
+    for (const int last : geo_.lastIndex) topLevel_ += last;
+    if (budget != nullptr && budget->limits().maxFrontierBytes != 0) {
+      frontierCap_ = budget->limits().maxFrontierBytes / cutBytes_;
+    }
+  }
+
+  // Searches from ⊥, which must be a ¬φ cut other than ⊤. Returns the ⊥→⊤
+  // run of ¬φ-cuts when one exists; otherwise empty, with ex.end telling an
+  // exhausted region from a budget stop.
+  std::vector<Cut> run() {
+    seen_.insert(view_.last.data(), 0);  // view_ starts as ⊥
+    Step step = Step::Continue;
+    if (push(0)) {
+      while (step == Step::Continue && !stack_.empty()) step = extendRun();
+    }
+    return finish(step == Step::ReachedTop ? certificate()
+                                           : std::vector<Cut>{});
+  }
+
+ private:
+  enum class Step { Continue, ReachedTop, BudgetStop };
+
+  struct Frame {
+    std::uint64_t key;
+    ProcessId next;  // the next process to try advancing
+  };
+
+  // Advances the top frame by one successor.
+  Step extendRun() {
+    const int n = geo_.n;
+    Frame& top = stack_.back();
+    const int* cut = path_.data() + path_.size() - n;
+    ProcessId p = top.next;
+    while (p < n && !geo_.enabled(cut, p)) ++p;
+    if (p == n) {
+      // Every ¬φ path through this cut is blocked.
+      stack_.pop_back();
+      path_.resize(path_.size() - n);
+      return Step::Continue;
+    }
+    top.next = p + 1;
+    int* succ = view_.last.data();
+    std::copy(cut, cut + n, succ);
+    ++succ[p];
+    const std::uint64_t key = seen_.successor(top.key, p);
+    if (!seen_.insert(succ, key)) return Step::Continue;
+    if (!grow()) return Step::BudgetStop;
+    if (phi_(view_)) return Step::Continue;
+    if (stack_.size() == topLevel_) return Step::ReachedTop;  // succ is ⊤
+    return push(key) ? Step::Continue : Step::BudgetStop;
+  }
+
+  // Charges and pushes view_, keyed `key`; false on a budget stop. Each
+  // batch also reports the frontier peak so far to the budget.
+  bool push(std::uint64_t key) {
+    if (budget_ != nullptr && prepaid_ == 0) {
+      if (!budget_->noteFrontierBytes(peakCuts_ * cutBytes_)) return stopped();
+      // Capped at the cut headroom, so a batch never trips CutLimit before
+      // the charge that would; past it, one charge latches CutLimit.
+      const std::uint64_t batch =
+          std::min<std::uint64_t>(kChargeBatch, budget_->remainingCuts());
+      if (batch == 0 ? !budget_->chargeCut() : !budget_->chargeCuts(batch)) {
+        return stopped();
+      }
+      prepaid_ = batch;
+    }
+    if (prepaid_ != 0) --prepaid_;
+    ++ex_.cutsVisited;
+    stack_.push_back({key, 0});
+    path_.insert(path_.end(), view_.last.begin(), view_.last.end());
+    return grow();
+  }
+
+  // Tracks the live frontier after the visited set or the stack grew;
+  // trips the budget's frontier limit at the first cut past it.
+  bool grow() {
+    const std::uint64_t live = seen_.size() + stack_.size();
+    if (live <= peakCuts_) return true;
+    peakCuts_ = live;
+    if (live > frontierCap_ && !budget_->noteFrontierBytes(live * cutBytes_)) {
+      return stopped();
+    }
+    return true;
+  }
+
+  bool stopped() {
+    ex_.end = ExploreEnd::BudgetExhausted;
+    return false;
+  }
+
+  // The stack from ⊥ plus ⊤, which view_ holds when the search reaches it.
+  std::vector<Cut> certificate() const {
+    std::vector<Cut> cuts;
+    cuts.reserve(stack_.size() + 1);
+    for (auto cut = path_.begin(); cut != path_.end(); cut += geo_.n) {
+      cuts.emplace_back(std::vector<int>(cut, cut + geo_.n));
+    }
+    cuts.push_back(view_);
+    return cuts;
+  }
+
+  std::vector<Cut> finish(std::vector<Cut> run) {
+    if (!run.empty()) ex_.end = ExploreEnd::VisitorStopped;
+    ex_.peakFrontierCuts = peakCuts_;
+    ex_.peakFrontierBytes = peakCuts_ * cutBytes_;
+    if (budget_ != nullptr) {
+      budget_->refundCuts(prepaid_);
+      budget_->noteFrontierBytes(ex_.peakFrontierBytes);
+    }
+    return run;
+  }
+
+  const Geometry geo_;
+  const CutPredicate& phi_;
+  control::Budget* budget_;
+  ExploreResult& ex_;
+  VisitedSet seen_;
+  std::vector<Frame> stack_;
+  std::vector<int> path_;  // the stack's cuts, n-strided
+  Cut view_;               // the successor under test, handed to phi
+  const std::uint64_t cutBytes_;
+  std::size_t topLevel_ = 0;
+  std::uint64_t frontierCap_ = UINT64_MAX;
+  std::uint64_t peakCuts_ = 0;
+  std::uint64_t prepaid_ = 0;
+};
+
 }  // namespace
 
 ExploreResult exploreConsistentCuts(
@@ -352,43 +568,27 @@ CutSearchResult findSatisfyingCut(const VectorClocks& clocks,
   return result;
 }
 
-// A run avoids φ iff it is a monotone path of ¬φ-cuts from ⊥ to ⊤, so the
-// BFS admits only ¬φ successors and asks whether ⊤ is reached (⊤ sits alone
-// on the last level).
 DefinitelyDecision decideDefinitely(const VectorClocks& clocks,
                                     const CutPredicate& phi,
-                                    control::Budget* budget,
-                                    par::Pool* pool) {
+                                    control::Budget* budget) {
   GPD_TRACE_SPAN_NAMED(span, "lattice.definitely");
-  if (pool != nullptr) span.attrInt("threads", pool->threads());
   DefinitelyDecision decision;
   ExploreResult& ex = decision.explore;
-  const auto decide = [&](bool holds) {
-    decision.holds = holds;
-    decision.decided = ex.end != ExploreEnd::BudgetExhausted;
-    span.attrInt("cuts", static_cast<std::int64_t>(ex.cutsVisited));
-    span.attrStr("end", toString(ex.end));
-    GPD_OBS_COUNTER_ADD("definitely_cuts_enumerated", ex.cutsVisited);
-    return decision;
-  };
   const Computation& comp = clocks.computation();
-  const Cut top = finalCut(comp);
-  if (phi(initialCut(comp))) return decide(true);  // every run starts at ⊥
-  if (top == initialCut(comp)) return decide(false);
-  Bfs bfs(clocks, pool);
-  const auto notPhi = [&](ProcessId, const Cut& c) { return !phi(c); };
-  while (bfs.level.size() != 0 &&
-         expandLevel(bfs, budget, VisitAll{}, notPhi, ex)) {
-    const Level& next = *bfs.next;
-    if (next.size() == 1 &&
-        std::equal(top.last.begin(), top.last.end(), next.cut(0))) {
-      ex.end = ExploreEnd::VisitorStopped;  // an all-¬φ run exists
-      break;
-    }
-    if (!noteFrontier(ex, bfs, budget)) break;
-    bfs.advance();
+  const Cut bottom = initialCut(comp);
+  if (phi(bottom)) {
+    decision.holds = true;  // every run starts at ⊥
+  } else if (bottom == finalCut(comp)) {
+    decision.avoidingRun = {bottom};
+  } else {
+    decision.avoidingRun = AvoidingRunSearch(clocks, phi, budget, ex).run();
+    decision.holds = ex.end == ExploreEnd::Exhausted;
+    decision.decided = ex.end != ExploreEnd::BudgetExhausted;
   }
-  return decide(ex.end == ExploreEnd::Exhausted);
+  span.attrInt("cuts", static_cast<std::int64_t>(ex.cutsVisited));
+  span.attrStr("end", toString(ex.end));
+  GPD_OBS_COUNTER_ADD("definitely_cuts_enumerated", ex.cutsVisited);
+  return decision;
 }
 
 LatticeStats latticeStats(const VectorClocks& clocks,

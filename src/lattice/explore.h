@@ -1,25 +1,29 @@
 // Exhaustive exploration of the lattice of consistent cuts.
 //
 // This is the Cooper–Marzullo style baseline (paper reference [5]): it
-// decides possibly(φ) and definitely(φ) for *arbitrary* global predicates by
-// breadth-first search over consistent cuts, level by level. Exponential in
-// the number of processes — the whole point of the paper's algorithms is to
-// avoid it — but exact, so it is the ground truth every efficient detector
-// is validated against, and the comparison baseline in the benches.
+// decides possibly(φ) and definitely(φ) for *arbitrary* global predicates
+// by searching the consistent cuts. Exponential in the number of processes
+// — the whole point of the paper's algorithms is to avoid it — but exact,
+// so it is the ground truth every efficient detector is validated against,
+// and the comparison baseline in the benches.
 //
 // Four entry points: exploreConsistentCuts (visit every cut),
 // findSatisfyingCut (possibly), decideDefinitely (definitely) and
-// latticeStats. Each takes an optional Budget (control/budget.h): the BFS
-// loop charges every visited/expanded cut (prepaid in batches of 64, the
-// unused rest refunded at a stop) and reports its live frontier bytes per
-// level, so a wall-clock deadline, a cut cap, or a frontier-memory
-// cap turns an exponential blowup into an explicit incomplete result instead
-// of a hang or an OOM. The searches also take an optional par::Pool.
+// latticeStats. The visits and possibly run breadth-first, level by level,
+// so the first witness is a lowest one; definitely runs depth-first, since
+// one ¬φ run from ⊥ to ⊤ settles it (Cooper–Marzullo's path view). Each
+// takes an optional Budget (control/budget.h): the search charges every
+// visited/expanded cut (prepaid in batches of 64, the unused rest refunded
+// at a stop) and reports its live frontier bytes, so a wall-clock deadline,
+// a cut cap, or a frontier-memory cap turns an exponential blowup into an
+// explicit incomplete result instead of a hang or an OOM. The possibly
+// search also takes an optional par::Pool.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "clocks/vector_clock.h"
 #include "computation/computation.h"
@@ -56,8 +60,9 @@ enum class ExploreEnd {
 struct ExploreResult {
   std::uint64_t cutsVisited = 0;
   ExploreEnd end = ExploreEnd::Exhausted;
-  // Widest BFS frontier observed (cuts of one level plus the next level
-  // under construction) — the measured signal behind memory budgets.
+  // Widest live frontier observed — for the BFS the cuts of one level plus
+  // the next level under construction — the measured signal behind memory
+  // budgets.
   std::uint64_t peakFrontierCuts = 0;
   std::uint64_t peakFrontierBytes = 0;
 };
@@ -107,20 +112,25 @@ CutSearchResult findSatisfyingCut(const VectorClocks& clocks,
 
 // Three-valued definitely(φ): every run passes through a cut satisfying φ,
 // i.e. no monotone path of ¬φ-cuts leads from the initial to the final cut.
-// `decided` is false when the budget stopped the ¬φ-path search before it
-// could prove either direction; without a budget it is always true. A pool
-// follows the same slice-order partitioning and determinism contract as
-// findSatisfyingCut.
+// A depth-first search looks for one such path: it answers "no" as soon as
+// it reaches ⊤ and "yes" only once the ¬φ region reachable from ⊥ is
+// exhausted, so a "no" expands at most the cuts a level-by-level search
+// would. `decided` is false when the budget stopped the search before it
+// could prove either direction; without a budget it is always true. The
+// explore counters count expanded ¬φ cuts and the peak of the visited set
+// (φ-cuts included) plus the search stack.
 struct DefinitelyDecision {
   bool decided = true;
   bool holds = false;
+  // On a decided "no": the avoiding run, ⊥ first and ⊤ last. Each cut is
+  // consistent, falsifies φ, and adds exactly one event to its predecessor.
+  std::vector<Cut> avoidingRun;
   ExploreResult explore;
 };
 
 DefinitelyDecision decideDefinitely(const VectorClocks& clocks,
                                     const CutPredicate& phi,
-                                    control::Budget* budget = nullptr,
-                                    par::Pool* pool = nullptr);
+                                    control::Budget* budget = nullptr);
 
 struct LatticeStats {
   std::uint64_t cutCount = 0;   // number of consistent cuts counted so far

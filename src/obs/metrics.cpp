@@ -22,7 +22,7 @@ constexpr const char* kCounterInventory[] = {
     "cpdhb_comparisons",         // succLeq head comparisons inside CPDHB
     "cpdhb_invocations",         // findConsistentSelection calls
     "cuts_enumerated",           // cuts visited by lattice possibly searches
-    "definitely_cuts_enumerated",  // cuts expanded by lattice definitely
+    "definitely_cuts_enumerated",  // cuts expanded by the definitely DFS
     "detector_queries",          // Detector possibly/definitely calls
     "dnf_terms_tried",           // DNF terms scanned by possiblyExpression
     "dpll_decisions",            // DPLL branching decisions
@@ -40,6 +40,7 @@ constexpr const char* kCounterInventory[] = {
     "plan_predicted_combinations",  // planner-predicted work (plan_vs_actual)
     "plan_steps_run",            // plan steps the detector executed
     "plan_steps_skipped",        // plan steps skipped by the budget walk
+    "sum_range_precheck_decided",  // exact sums refuted by min S ≤ K ≤ max S
 };
 
 constexpr const char* kGaugeInventory[] = {

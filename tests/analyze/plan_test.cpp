@@ -253,7 +253,19 @@ TEST(Plan, SumRoutingFollowsTheoremPreconditions) {
     const PlanStep* thm7 = findStep(big, Algorithm::Theorem7ExactSum);
     ASSERT_NE(thm7, nullptr);
     EXPECT_FALSE(thm7->applicable);
+    // The exact-sum search runs behind the range test, and says so.
+    EXPECT_NE(big.chosen().note.find("min S ≤ K ≤ max S"), std::string::npos);
+    std::ostringstream text;
+    analyze::renderPlanText(text, big);
+    EXPECT_NE(text.str().find("note: range test first"), std::string::npos)
+        << text.str();
+    EXPECT_NE(analyze::planSum(jumps.clocks, jumps.trace, bigDelta,
+                               Modality::Definitely)
+                  .chosen()
+                  .note.find("min S ≤ K ≤ max S"),
+              std::string::npos);
   }
+  for (const PlanStep& s : ineqReport.steps) EXPECT_TRUE(s.note.empty());
 }
 
 // definitely(Σ = K) with |ΔS| > 1 used to trip an internal check; it must

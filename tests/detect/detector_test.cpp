@@ -156,6 +156,59 @@ TEST(DetectorTest, UnboundedExactSumFallsBackToLattice) {
   EXPECT_FALSE(det.possibly(eq).has_value());
 }
 
+// Checks that `run` goes from ⊥ to ⊤ one event at a time through
+// consistent cuts none of which satisfies `phi`.
+void expectAvoidingRun(const VectorClocks& vc, const std::vector<Cut>& run,
+                       const lattice::CutPredicate& phi) {
+  ASSERT_FALSE(run.empty());
+  EXPECT_EQ(run.front(), initialCut(vc.computation()));
+  EXPECT_EQ(run.back(), finalCut(vc.computation()));
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    EXPECT_TRUE(vc.isConsistent(run[i])) << i;
+    EXPECT_FALSE(phi(run[i])) << i;
+    if (i > 0) {
+      EXPECT_TRUE(run[i - 1].subsetOf(run[i])) << i;
+      EXPECT_EQ(run[i].level(), run[i - 1].level() + 1) << i;
+    }
+  }
+}
+
+// Exact sums with steps above 1: a K outside [min S, max S] is refuted by
+// the range test on both modalities; one inside runs the lattice search.
+// Either way the route stays the lattice one, and a definitely "no"
+// carries an avoiding run.
+TEST(DetectorTest, ExactSumOutsideTheRangeIsNoOnBothModalities) {
+  ComputationBuilder b(2);
+  const EventId send = b.appendEvent(0);
+  b.appendEvent(0);
+  const EventId recv = b.appendEvent(1);
+  b.addMessage(send, recv);
+  const Computation c = std::move(b).build();
+  VariableTrace trace(c);
+  trace.define(0, "x", {0, 3, 1});
+  trace.define(1, "x", {0, 2});
+  const std::vector<SumTerm> xs{{0, "x"}, {1, "x"}};
+  Detector det(trace);
+  // Cuts: [0,0] 0, [1,0] 3, [1,1] 5, [2,0] 1, [2,1] 3.
+  for (const std::int64_t k : {-1, 2, 4, 6}) {
+    const SumPredicate eq{xs, Relop::Equal, k};
+    EXPECT_FALSE(det.possibly(eq).has_value()) << k;
+    EXPECT_EQ(det.lastAlgorithm(), "lattice-enumeration") << k;
+    control::Budget unlimited;
+    const Detection d = det.definitely(eq, unlimited);
+    EXPECT_EQ(d.outcome, Outcome::No) << k;
+    EXPECT_EQ(det.lastAlgorithm(), "lattice-definitely") << k;
+    expectAvoidingRun(det.clocks(), d.avoidingRun, eq.bind(trace));
+  }
+  const SumPredicate five{xs, Relop::Equal, 5};
+  EXPECT_EQ(det.possibly(five), Cut(std::vector<int>{1, 1}));
+  EXPECT_FALSE(det.definitely(five));  // running p0 to its end first
+  const SumPredicate three{xs, Relop::Equal, 3};
+  EXPECT_TRUE(det.definitely(three));  // ⊤ has S = 3
+  control::Budget unlimited;
+  EXPECT_TRUE(det.definitely(three, unlimited).avoidingRun.empty());
+}
+
 TEST(DetectorTest, SymmetricAndDefinitely) {
   ComputationBuilder b(2);
   b.appendEvent(0);

@@ -30,14 +30,26 @@ namespace {
 
 std::string tracePath() { return uniqueTempPath("gpd_cli_exit_test.trace"); }
 
-// Runs gpdtool with `args`, output silenced, and returns its exit code.
-int runTool(const std::string& args) {
+// Runs gpdtool with `args`, its output sent to `out`, and returns its exit
+// code.
+int runTool(const std::string& args, const std::string& out = "/dev/null") {
   const std::string cmd =
-      std::string(GPDTOOL_PATH) + " " + args + " > /dev/null 2>&1";
+      std::string(GPDTOOL_PATH) + " " + args + " > " + out + " 2>&1";
   const int status = std::system(cmd.c_str());
   EXPECT_NE(status, -1) << "failed to spawn " << cmd;
   EXPECT_TRUE(WIFEXITED(status)) << "gpdtool killed by signal: " << cmd;
   return WEXITSTATUS(status);
+}
+
+// Runs gpdtool with `args` and returns its standard output.
+std::string toolOutput(const std::string& args) {
+  const std::string out = uniqueTempPath("gpd_cli_exit_test.out");
+  EXPECT_EQ(runTool(args, out), 0) << args;
+  std::ifstream is(out);
+  const std::string text((std::istreambuf_iterator<char>(is)),
+                         std::istreambuf_iterator<char>());
+  std::remove(out.c_str());
+  return text;
 }
 
 std::string writeTempFile(const std::string& name, const std::string& bytes) {
@@ -64,6 +76,27 @@ TEST_F(CliExitTest, DecidedDetectExitsZero) {
   // A budgeted run that still decides exits 0 as well.
   EXPECT_EQ(
       runTool("detect " + tracePath() + " conj --budget-ms 60000 0:b 1:b"), 0);
+}
+
+// definitely on a CNF runs the lattice search; a "no" prints the run that
+// avoids the predicate, a "yes" prints none.
+TEST_F(CliExitTest, DefinitelyNoPrintsItsAvoidingRun) {
+  const std::string no =
+      toolOutput("detect " + tracePath() + " cnf --definitely 0:b 1:b");
+  EXPECT_NE(no.find("definitely: does not hold  [lattice-definitely]"),
+            std::string::npos)
+      << no;
+  EXPECT_NE(no.find("avoiding run (61 cuts): [0 0 0 0 0] "), std::string::npos)
+      << no;
+  const std::string yes = toolOutput("detect " + tracePath() +
+                                     " cnf --definitely 0:b,1:b 2:b,3:b");
+  EXPECT_NE(yes.find("definitely: holds  [lattice-definitely]"),
+            std::string::npos)
+      << yes;
+  EXPECT_EQ(yes.find("avoiding run"), std::string::npos) << yes;
+  EXPECT_EQ(runTool("detect " + tracePath() +
+                    " cnf --definitely --max-cuts 1 0:b,1:b 2:b,3:b"),
+            3);
 }
 
 TEST_F(CliExitTest, BadInputExitsOne) {

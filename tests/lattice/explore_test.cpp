@@ -150,6 +150,36 @@ TEST(LatticeTest, PossiblyButNotDefinitely) {
   EXPECT_FALSE(decideDefinitely(vc, phi).holds);
 }
 
+// 24 processes of one event each: the box of 2^24 cuts is past the size at
+// which the definitely search keeps its visited set as a bitmap, so this
+// runs the hashed visited set.
+TEST(LatticeTest, DefinitelyOnALargeBox) {
+  const Computation c = independent(24, 1);
+  const VectorClocks vc(c);
+  const DefinitelyDecision yes = decideDefinitely(
+      vc, [](const Cut& cut) { return cut.level() == 3; });
+  EXPECT_TRUE(yes.holds);
+  // Each cut below level 3 once: 1 + 24 + 24·23/2.
+  EXPECT_EQ(yes.explore.cutsVisited, 301u);
+
+  // p0 at level 2 is avoidable: advance p0 later.
+  const auto phi = [](const Cut& cut) {
+    return cut.level() == 2 && cut.last[0] == 1;
+  };
+  const DefinitelyDecision no = decideDefinitely(vc, phi);
+  ASSERT_TRUE(no.decided);
+  EXPECT_FALSE(no.holds);
+  ASSERT_EQ(no.avoidingRun.size(), 25u);
+  EXPECT_EQ(no.avoidingRun.front(), initialCut(c));
+  EXPECT_EQ(no.avoidingRun.back(), finalCut(c));
+  for (std::size_t i = 1; i < no.avoidingRun.size(); ++i) {
+    const Cut& cut = no.avoidingRun[i];
+    EXPECT_FALSE(phi(cut)) << i;
+    EXPECT_TRUE(no.avoidingRun[i - 1].subsetOf(cut)) << i;
+    EXPECT_EQ(cut.level(), static_cast<int>(i)) << i;
+  }
+}
+
 // Ground truth via run enumeration: possibly(φ) iff some linear extension
 // passes a φ-cut; definitely(φ) iff all do.
 TEST(LatticeTest, ModalitiesMatchRunEnumeration) {

@@ -3,11 +3,12 @@
 // The oracle below is the lattice BFS as it was before the flat kernel: one
 // std::unordered_set<Cut> per level for dedup, successors built as
 // vector-backed Cuts, enabled() through VectorClocks. Over seeded random
-// computations every public form must reproduce it exactly — the visit
-// sequence, the slice-restricted visits through a real slice CutAdmit,
-// witnesses, `definitely` decisions, latticeStats, and the point and
-// progress of budget stops under cut and frontier limits — sequentially and
-// in pools of 2 and 8 workers.
+// computations every breadth-first form must reproduce it exactly — the
+// visit sequence, the slice-restricted visits through a real slice
+// CutAdmit, witnesses, latticeStats, and the point and progress of budget
+// stops under cut and frontier limits — sequentially and in pools of 2 and
+// 8 workers. The depth-first `definitely` must reach the oracle's verdicts,
+// expand no more cuts, and back every "no" with a valid avoiding run.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -231,6 +232,7 @@ TEST(LatticeKernelProperty, EveryFormMatchesTheUnorderedSetBfs) {
   par::Pool pool8(8);
   int stopsSeen = 0;
   int witnessesSeen = 0;
+  int definitelyStops = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
     Trial t(rng, trial);
     const VectorClocks vc(t.computation);
@@ -253,6 +255,7 @@ TEST(LatticeKernelProperty, EveryFormMatchesTheUnorderedSetBfs) {
     };
 
     const std::uint64_t total = oracleStats(vc, nullptr).cutCount;
+    const OracleRun truth = oracleDefinitely(vc, phi, nullptr);
     for (const auto& limits : limitsFor(rng, total, t.computation.processCount())) {
       const std::string label =
           "trial " + std::to_string(trial) +
@@ -312,25 +315,39 @@ TEST(LatticeKernelProperty, EveryFormMatchesTheUnorderedSetBfs) {
         }
       }
 
-      // definitely(φ): sequential and pooled.
+      // definitely(φ): the depth-first search expands a subset of the
+      // cuts the BFS expands, so it decides whenever the BFS decides under
+      // a cut cap and never expands more unbudgeted. A frontier cap bounds
+      // another measure (visited set plus stack), so there only decided
+      // verdicts are compared.
       control::Budget defOracleBudget = budgetFor();
       const OracleRun wantDef =
           oracleDefinitely(vc, phi, limits ? &defOracleBudget : nullptr);
-      for (par::Pool* pool :
-           {static_cast<par::Pool*>(nullptr), &pool2, &pool8}) {
-        const std::string ld =
-            label + " definitely threads=" +
-            std::to_string(pool != nullptr ? pool->threads() : 0);
-        control::Budget defBudget = budgetFor();
-        control::Budget* b = limits ? &defBudget : nullptr;
-        const DefinitelyDecision d = decideDefinitely(vc, phi, b, pool);
-        expectSameExplore(d.explore, wantDef.explore, ld);
-        EXPECT_EQ(d.decided,
-                  wantDef.explore.end != ExploreEnd::BudgetExhausted)
-            << ld;
+      const bool oracleDecided =
+          wantDef.explore.end != ExploreEnd::BudgetExhausted;
+      const std::string ld = label + " definitely";
+      control::Budget defBudget = budgetFor();
+      const DefinitelyDecision d =
+          decideDefinitely(vc, phi, limits ? &defBudget : nullptr);
+      if (!limits.has_value()) {
+        EXPECT_EQ(d.decided, oracleDecided) << ld;
         EXPECT_EQ(d.holds, wantDef.definitelyHolds) << ld;
-        expectSameBudget(defBudget, defOracleBudget, ld);
+        EXPECT_LE(d.explore.cutsVisited, wantDef.explore.cutsVisited) << ld;
+      } else {
+        if (limits->maxCuts != 0 && oracleDecided) {
+          EXPECT_TRUE(d.decided) << ld;
+        }
+        if (d.decided) {
+          EXPECT_EQ(d.holds, truth.definitelyHolds) << ld;
+        } else {
+          EXPECT_TRUE(defBudget.exhausted()) << ld;
+          ++definitelyStops;
+        }
+        // Prepaid charges the search did not use are refunded.
+        EXPECT_EQ(defBudget.progress().cutsVisited, d.explore.cutsVisited)
+            << ld;
       }
+      EXPECT_EQ(d.avoidingRun.empty(), !d.decided || d.holds) << ld;
 
       // latticeStats.
       control::Budget statsOracleBudget = budgetFor();
@@ -349,6 +366,51 @@ TEST(LatticeKernelProperty, EveryFormMatchesTheUnorderedSetBfs) {
   // The sweep must reach budget stops and witnesses, not only exhaustion.
   EXPECT_GT(stopsSeen, kTrials / 4);
   EXPECT_GT(witnessesSeen, kTrials / 4);
+  EXPECT_GT(definitelyStops, 0);
+}
+
+// Every "no" of decideDefinitely comes with its proof: a run from ⊥ to ⊤
+// whose cuts are consistent, falsify φ, and each add one event to the one
+// before. The verdict is the oracle BFS's. Odd trials test x on every
+// process at once, which runs avoid more often than the trial's CNF.
+TEST(LatticeAvoidingRunProperty, EveryNoCarriesAValidRun) {
+  Rng rng(20011010);
+  int noes = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Trial t(rng, trial);
+    const VectorClocks vc(t.computation);
+    CnfPredicate allX;
+    for (ProcessId p = 0; p < t.computation.processCount(); ++p) {
+      allX.clauses.push_back({{p, "x", true}});
+    }
+    const CutPredicate phi = (trial % 2 == 0 ? t.cnf : allX).bind(t.trace);
+    const std::string label = "trial " + std::to_string(trial);
+    const DefinitelyDecision d = decideDefinitely(vc, phi);
+    ASSERT_TRUE(d.decided) << label;
+    EXPECT_EQ(d.holds, oracleDefinitely(vc, phi, nullptr).definitelyHolds)
+        << label;
+    if (d.holds) {
+      EXPECT_TRUE(d.avoidingRun.empty()) << label;
+      continue;
+    }
+    ++noes;
+    const std::vector<Cut>& run = d.avoidingRun;
+    ASSERT_FALSE(run.empty()) << label;
+    EXPECT_EQ(run.front(), initialCut(t.computation)) << label;
+    EXPECT_EQ(run.back(), finalCut(t.computation)) << label;
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      EXPECT_TRUE(vc.isConsistent(run[i])) << label << " cut " << i;
+      EXPECT_FALSE(phi(run[i])) << label << " cut " << i;
+      if (i == 0) continue;
+      ASSERT_EQ(run[i].processes(), run[i - 1].processes()) << label;
+      EXPECT_TRUE(run[i - 1].subsetOf(run[i])) << label << " cut " << i;
+      EXPECT_EQ(run[i].level(), run[i - 1].level() + 1)
+          << label << " cut " << i;
+    }
+  }
+  // The sweep must exercise both verdicts.
+  EXPECT_GT(noes, kTrials / 4);
+  EXPECT_LT(noes, kTrials - kTrials / 4);
 }
 
 }  // namespace

@@ -172,6 +172,39 @@ TEST_F(DetectObsTest, SumQueriesSolveOnlyTheClosuresTheyNeed) {
   EXPECT_EQ(closures(sym), 1u);
 }
 
+// An exact sum with steps above 1 routes to the lattice; the range test in
+// front of it solves the max side, then the min side only when K ≤ max S,
+// and counts the queries it refutes.
+TEST_F(DetectObsTest, ExactSumRangeTestSolvesOnlyTheSidesItNeeds) {
+  ComputationBuilder b(2);
+  b.appendEvent(0);
+  b.appendEvent(0);
+  b.appendEvent(1);
+  const Computation c = std::move(b).build();
+  VariableTrace trace(c);
+  trace.define(0, "x", {0, 3, 1});
+  trace.define(1, "x", {0, 2});
+  const std::vector<SumTerm> xs{{0, "x"}, {1, "x"}};
+  detect::Detector det(trace);
+  const auto run = [&](std::int64_t k) {
+    registry().reset();
+    (void)det.possibly(SumPredicate{xs, Relop::Equal, k});
+    EXPECT_EQ(det.lastAlgorithm(), "lattice-enumeration") << k;
+    return std::make_pair(counterValue("flow_closures_solved"),
+                          counterValue("sum_range_precheck_decided"));
+  };
+  // S ranges over [0, 5].
+  EXPECT_EQ(run(6), std::make_pair(std::uint64_t{1}, std::uint64_t{1}));
+  EXPECT_EQ(run(-1), std::make_pair(std::uint64_t{2}, std::uint64_t{1}));
+  EXPECT_EQ(run(4), std::make_pair(std::uint64_t{2}, std::uint64_t{0}));
+
+  registry().reset();
+  EXPECT_FALSE(det.definitely(SumPredicate{xs, Relop::Equal, 6}));
+  EXPECT_EQ(det.lastAlgorithm(), "lattice-definitely");
+  EXPECT_EQ(counterValue("sum_range_precheck_decided"), 1u);
+  EXPECT_EQ(counterValue("definitely_cuts_enumerated"), 0u);
+}
+
 #endif  // GPD_OBS_DISABLED
 
 }  // namespace

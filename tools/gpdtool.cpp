@@ -11,8 +11,11 @@
 //       enough) the consistent-cut lattice statistics
 //   gpdtool detect <trace> conj [--definitely] <p:var | p:!var>...
 //       conjunctive predicate, one term per named process
-//   gpdtool detect <trace> cnf <lit,lit,...> <lit,lit,...> ...
+//   gpdtool detect <trace> cnf [--definitely] <lit,lit,...> <lit,lit,...> ...
 //       CNF predicate, one argv word per clause, literals p:var / p:!var
+//       with --definitely, a "no" from the lattice prints its avoiding run:
+//       the cuts of one run from the initial to the final cut, none of
+//       which satisfies the predicate
 //   gpdtool detect <trace> sum <lt|le|gt|ge|eq|ne> <K> <var>
 //       Σ var over all processes, relop K
 //   gpdtool detect <trace> sym <xor|no-majority|no-two-thirds|not-all-equal|
@@ -76,7 +79,8 @@ int usage() {
             << "  gpdtool generate <workload> <out.trace> [seed]\n"
             << "  gpdtool inspect <trace>\n"
             << "  gpdtool detect <trace> conj [--definitely] <p:var|p:!var>...\n"
-            << "  gpdtool detect <trace> cnf [--no-slice] <lit,lit,...>...\n"
+            << "  gpdtool detect <trace> cnf [--no-slice] [--definitely]\n"
+            << "          <lit,lit,...>...\n"
             << "  gpdtool detect <trace> sum <lt|le|gt|ge|eq|ne> <K> <var>\n"
             << "  gpdtool detect <trace> sym <kind> <var>\n"
             << "      detect also takes --budget-ms D --max-cuts N\n"
@@ -422,6 +426,15 @@ void printSliceTrace(const detect::SliceTrace& s) {
             << " oracle calls)\n";
 }
 
+// The certificate of a lattice definitely "no": one run from ⊥ to ⊤
+// whose cuts all falsify the predicate.
+void printAvoidingRun(const detect::Detection& det) {
+  if (det.avoidingRun.empty()) return;
+  std::cout << "  avoiding run (" << det.avoidingRun.size() << " cuts):";
+  for (const Cut& cut : det.avoidingRun) std::cout << ' ' << cut.toString();
+  std::cout << '\n';
+}
+
 // Prints a three-valued budgeted verdict; exit 0 when answered, 3 on
 // Unknown (the budget ran out first).
 int reportDetection(const std::string& label, const detect::Detection& det) {
@@ -443,6 +456,7 @@ int reportDetection(const std::string& label, const detect::Detection& det) {
       break;
   }
   std::cout << "  [" << det.algorithm << "]\n";
+  printAvoidingRun(det);
   std::cout << "  progress: " << det.progress.cutsVisited << " cuts, "
             << det.progress.combinationsTried << " combinations, peak frontier "
             << det.progress.peakFrontierBytes << " bytes\n";
@@ -570,8 +584,10 @@ CnfPredicate parseCnfPredicate(const std::vector<std::string>& args) {
 int detectCnf(const io::TraceFile& file, std::vector<std::string> args,
               const BudgetFlags& budgetFlags, par::Pool* pool) {
   bool noSlice = false;
-  if (!args.empty() && args[0] == "--no-slice") {
-    noSlice = true;
+  bool definitely = false;
+  while (!args.empty() &&
+         (args[0] == "--no-slice" || args[0] == "--definitely")) {
+    (args[0] == "--no-slice" ? noSlice : definitely) = true;
     args.erase(args.begin());
   }
   if (args.empty()) return usage();
@@ -581,6 +597,19 @@ int detectCnf(const io::TraceFile& file, std::vector<std::string> args,
   detector.enableSlicing(!noSlice);
   std::cout << "predicate: " << pred.toString()
             << (pred.isSingular() ? " (singular)" : " (not singular)") << '\n';
+  if (definitely) {
+    // The walk runs under a Budget, unlimited without budget flags, so a
+    // "no" keeps its avoiding run.
+    control::Budget budget(budgetFlags.limits());
+    const detect::Detection det = detector.definitely(pred, budget);
+    if (budgetFlags.any()) return reportDetection("definitely", det);
+    std::cout << "definitely: "
+              << (det.outcome == detect::Outcome::Yes ? "holds"
+                                                      : "does not hold")
+              << "  [" << det.algorithm << "]\n";
+    printAvoidingRun(det);
+    return 0;
+  }
   if (budgetFlags.any()) {
     control::Budget budget(budgetFlags.limits());
     return reportDetection("possibly", detector.possibly(pred, budget));

@@ -29,10 +29,12 @@ const std::set<std::string>& chargeCalls() {
 // these must charge a budget or poll a cancel token (gpd-budget-charge).
 const std::set<std::string>& kernelCalls() {
   static const std::set<std::string> s = {
-      // lattice BFS level-expansion kernel and the four lattice entry
-      // points (their budget is optional, so a call may run a whole
-      // unbudgeted search), plus the sum/symmetric searches built on them
-      "expandLevel", "expandCut", "exploreConsistentCuts", "findSatisfyingCut",
+      // lattice BFS level-expansion kernel, the definitely DFS step, and
+      // the four lattice entry points (their budget is optional, so a call
+      // may run a whole unbudgeted search), plus the sum/symmetric searches
+      // built on them
+      "expandLevel", "expandCut", "extendRun", "exploreConsistentCuts",
+      "findSatisfyingCut",
       "decideDefinitely", "latticeStats", "detectExactSum", "definitelySum",
       "definitelySymmetric",
       // CPDHB scan — one invocation per enumeration combination (Sec. 3.3)
