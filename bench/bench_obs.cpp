@@ -8,7 +8,7 @@
 //      open/close while disarmed, and while armed;
 //   2. the A9 gadget kernels (chain-cover exhaustion of a Theorem-1
 //      gadget, lattice BFS) in the shipping state — obs compiled in but
-//      disarmed — printed as machine-readable `OBSBENCH` lines keyed by
+//      disarmed — printed as machine-readable `BENCHROW obs` lines keyed by
 //      the build mode, so CI can diff a default-on build against a
 //      -DGPD_OBS_DISABLED=ON build of the same tree (target: < 2%);
 //   3. the armed tax: the same kernels with the tracer collecting, which
@@ -43,7 +43,7 @@ int main() {
   bench::banner(
       "A10 / observability overhead",
       "gpd::obs primitives and the A9 gadget kernels with obs compiled "
-      "in. Compare OBSBENCH lines across a default-on and a "
+      "in. Compare BENCHROW lines across a default-on and a "
       "-DGPD_OBS_DISABLED=ON build: target < 2% on every kernel row.");
 
   obs::tracer().stop();
@@ -128,12 +128,17 @@ int main() {
     }
     obs::tracer().clear();
     // The cross-build comparison key: same kernel label in both builds.
-    std::printf("OBSBENCH mode=%s kernel=%s ms=%.3f\n", kMode, name,
-                disarmed);
+    bench::emitRow("obs", {{"mode", kMode},
+                           {"kernel", name},
+                           {"ms", bench::fmtMs(disarmed)}});
 #ifndef GPD_OBS_DISABLED
-    std::printf("OBSBENCH mode=armed kernel=%s ms=%.3f armed_tax=%+.2f%%\n",
-                name, armed,
-                disarmed > 0 ? (armed - disarmed) / disarmed * 100.0 : 0.0);
+    char tax[32];
+    std::snprintf(tax, sizeof(tax), "%+.2f%%",
+                  disarmed > 0 ? (armed - disarmed) / disarmed * 100.0 : 0.0);
+    bench::emitRow("obs", {{"mode", "armed"},
+                           {"kernel", name},
+                           {"ms", bench::fmtMs(armed)},
+                           {"armed_tax", tax}});
 #endif
   };
 

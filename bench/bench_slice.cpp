@@ -109,7 +109,7 @@ int main() {
   // Both modes run under a budget far above the workload so every call
   // completes; progress.cutsVisited is the apples-to-apples work meter (for
   // the sliced mode it includes the slice build's own budgeted charges, so
-  // the pre-pass cannot hide its cost). The SLICEBENCH lines feed the CI
+  // the pre-pass cannot hide its cost). The BENCHROW slice lines feed the CI
   // gate: >= 10x cut reduction on regular, identical cut counts and < 3%
   // overhead (with runner slack) on nonregular, verdicts and witnesses
   // bit-identical throughout.
@@ -201,11 +201,14 @@ int main() {
            cutsSliced == 0 ? "inf" : bench::fmtMs(reduction) + "x",
            identical ? "yes" : "NO");
     GPD_CHECK(identical);
-    std::printf("SLICEBENCH mode=sliced workload=%s ms=%.3f cuts=%llu\n", name,
-                msSliced, static_cast<unsigned long long>(cutsSliced));
-    std::printf("SLICEBENCH mode=unsliced workload=%s ms=%.3f cuts=%llu\n",
-                name, msUnsliced,
-                static_cast<unsigned long long>(cutsUnsliced));
+    bench::emitRow("slice", {{"mode", "sliced"},
+                             {"workload", name},
+                             {"ms", bench::fmtMs(msSliced)},
+                             {"cuts", std::to_string(cutsSliced)}});
+    bench::emitRow("slice", {{"mode", "unsliced"},
+                             {"workload", name},
+                             {"ms", bench::fmtMs(msUnsliced)},
+                             {"cuts", std::to_string(cutsUnsliced)}});
   }
   ab.print(std::cout);
   std::cout << "\nShape check: regular rows search the sublattice (>= 10x "

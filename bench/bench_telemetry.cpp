@@ -7,8 +7,8 @@
 // A10's: all of it must cost < 2% against a -DGPD_OBS_DISABLED=ON build of
 // the identical soak.  The kernel is an in-process Engine soak shaped like
 // the CI chaos run — 2500 sessions submitting events, pumping in batches,
-// closing — printed as a machine-readable `TELBENCH` line that CI diffs
-// across the two builds.
+// closing — printed as a machine-readable `BENCHROW telemetry` line that CI
+// diffs across the two builds.
 //
 // The OpenMetrics render itself runs in BOTH modes (gpdd's scrape surface
 // never disappears; the kill-switch registry just renders zeros), so the
@@ -95,7 +95,7 @@ int main() {
       "A14 / gpdd live telemetry overhead",
       "Engine soak with the full PR 9 telemetry surface armed: per-pump "
       "metrics + flight-recorder + suppressed debug log + periodic "
-      "OpenMetrics render. Compare TELBENCH lines across a default-on and "
+      "OpenMetrics render. Compare BENCHROW lines across a default-on and "
       "a -DGPD_OBS_DISABLED=ON build: target < 2% overhead.");
 
   obs::registry().reset();
@@ -116,7 +116,9 @@ int main() {
 
   std::printf("soak: %d sessions, %zu rendered scrape bytes, ring %s\n",
               kSessions, renderedBytes, ringPath.c_str());
-  std::printf("TELBENCH mode=%s kernel=engine-soak ms=%.3f\n", kMode, best);
+  bench::emitRow("telemetry", {{"mode", kMode},
+                               {"kernel", "engine-soak"},
+                               {"ms", bench::fmtMs(best)}});
   std::remove(ringPath.c_str());
   return 0;
 }

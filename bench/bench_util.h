@@ -2,8 +2,10 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "gpd.h"
 
@@ -27,6 +29,18 @@ inline std::string fmtMs(double ms) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", ms);
   return buf;
+}
+
+// One machine-readable result row, "BENCHROW <bench> key=value ...": the
+// format bench/bench_gate.py reads for the CI gates. Values hold no spaces.
+inline void emitRow(
+    const std::string& bench,
+    std::initializer_list<std::pair<const char*, std::string>> fields) {
+  std::cout << "BENCHROW " << bench;
+  for (const auto& [key, value] : fields) {
+    std::cout << ' ' << key << '=' << value;
+  }
+  std::cout << std::endl;
 }
 
 inline void banner(const std::string& id, const std::string& claim) {

@@ -60,7 +60,7 @@ struct Registry::Impl {
   // node-based maps: instrument addresses are stable across inserts, which
   // is what lets the GPD_OBS_* macros cache references in local statics.
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
+  std::map<std::pair<std::string, Labels>, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
@@ -79,9 +79,9 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
+Gauge& Registry::gauge(const std::string& name, const Labels& labels) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto& slot = impl_->gauges[name];
+  auto& slot = impl_->gauges[{name, labels}];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
@@ -101,8 +101,8 @@ MetricsSnapshot Registry::snapshot() {
     snap.counters.emplace_back(name, c->value());
   }
   snap.gauges.reserve(impl_->gauges.size());
-  for (const auto& [name, g] : impl_->gauges) {
-    snap.gauges.emplace_back(name, g->value());
+  for (const auto& [key, g] : impl_->gauges) {
+    snap.gauges.push_back({key.first, g->value(), key.second});
   }
   snap.histograms.reserve(impl_->histograms.size());
   for (const auto& [name, h] : impl_->histograms) {
@@ -128,14 +128,41 @@ Registry& registry() {
   return instance;
 }
 
+std::string escapeLabelValue(const std::string& value) {
+  std::string out;
+  out.reserve(value.size());
+  for (char c : value) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
+std::string seriesName(const std::string& name, const Labels& labels) {
+  if (labels.empty()) return name;
+  std::string out = name + '{';
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i != 0) out += ',';
+    out += labels[i].first;
+    out += "=\"";
+    out += escapeLabelValue(labels[i].second);
+    out += '"';
+  }
+  return out + '}';
+}
+
 namespace {
 
 // Non-empty log2 buckets as "lo..hi:count" ranges, e.g. "1:3 4..7:2".
-std::string bucketSummary(const Histogram& h) {
+std::string bucketSummary(const MetricsSnapshot::HistogramValue& h) {
   std::ostringstream out;
   bool first = true;
   for (int i = 0; i < Histogram::kBuckets; ++i) {
-    const std::uint64_t n = h.bucket(i);
+    const std::uint64_t n = h.buckets[i];
     if (n == 0) continue;
     if (!first) out << ' ';
     first = false;
@@ -151,58 +178,70 @@ std::string bucketSummary(const Histogram& h) {
   return first ? "-" : out.str();
 }
 
+// A series name as a JSON string body. Label values are already escaped,
+// so only the quotes and backslashes that escaping left need JSON escapes.
+std::string jsonKey(const std::string& series) {
+  std::string out;
+  out.reserve(series.size());
+  for (char c : series) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out;
+}
+
 }  // namespace
 
-void renderMetricsText(std::ostream& os, Registry& reg) {
-  std::lock_guard<std::mutex> lock(reg.impl_->mutex);
+void renderMetricsText(std::ostream& os, const MetricsSnapshot& snap) {
   std::size_t width = 0;
-  for (const auto& [name, c] : reg.impl_->counters) {
+  for (const auto& [name, value] : snap.counters) {
     width = std::max(width, name.size());
   }
-  for (const auto& [name, g] : reg.impl_->gauges) {
-    width = std::max(width, name.size());
+  for (const auto& g : snap.gauges) {
+    width = std::max(width, seriesName(g.name, g.labels).size());
   }
-  for (const auto& [name, h] : reg.impl_->histograms) {
-    width = std::max(width, name.size());
+  for (const auto& h : snap.histograms) {
+    width = std::max(width, h.name.size());
   }
-  for (const auto& [name, c] : reg.impl_->counters) {
-    os << "counter    " << std::left << std::setw(static_cast<int>(width))
-       << name << "  " << c->value() << '\n';
+  const int w = static_cast<int>(width);
+  for (const auto& [name, value] : snap.counters) {
+    os << "counter    " << std::left << std::setw(w) << name << "  " << value
+       << '\n';
   }
-  for (const auto& [name, g] : reg.impl_->gauges) {
-    os << "gauge      " << std::left << std::setw(static_cast<int>(width))
-       << name << "  " << g->value() << '\n';
+  for (const auto& g : snap.gauges) {
+    os << "gauge      " << std::left << std::setw(w)
+       << seriesName(g.name, g.labels) << "  " << g.value << '\n';
   }
-  for (const auto& [name, h] : reg.impl_->histograms) {
-    os << "histogram  " << std::left << std::setw(static_cast<int>(width))
-       << name << "  count=" << h->count() << " sum=" << h->sum()
-       << " buckets=" << bucketSummary(*h) << '\n';
+  for (const auto& h : snap.histograms) {
+    os << "histogram  " << std::left << std::setw(w) << h.name
+       << "  count=" << h.count << " sum=" << h.sum
+       << " buckets=" << bucketSummary(h) << '\n';
   }
 }
 
-void renderMetricsJson(std::ostream& os, Registry& reg) {
-  std::lock_guard<std::mutex> lock(reg.impl_->mutex);
+void renderMetricsJson(std::ostream& os, const MetricsSnapshot& snap) {
   os << "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, c] : reg.impl_->counters) {
-    os << (first ? "" : ",") << "\n    \"" << name << "\": " << c->value();
+  for (const auto& [name, value] : snap.counters) {
+    os << (first ? "" : ",") << "\n    \"" << name << "\": " << value;
     first = false;
   }
   os << "\n  },\n  \"gauges\": {";
   first = true;
-  for (const auto& [name, g] : reg.impl_->gauges) {
-    os << (first ? "" : ",") << "\n    \"" << name << "\": " << g->value();
+  for (const auto& g : snap.gauges) {
+    os << (first ? "" : ",") << "\n    \""
+       << jsonKey(seriesName(g.name, g.labels)) << "\": " << g.value;
     first = false;
   }
   os << "\n  },\n  \"histograms\": {";
   first = true;
-  for (const auto& [name, h] : reg.impl_->histograms) {
-    os << (first ? "" : ",") << "\n    \"" << name
-       << "\": {\"count\": " << h->count() << ", \"sum\": " << h->sum()
+  for (const auto& h : snap.histograms) {
+    os << (first ? "" : ",") << "\n    \"" << h.name
+       << "\": {\"count\": " << h.count << ", \"sum\": " << h.sum
        << ", \"buckets\": {";
     bool firstBucket = true;
     for (int i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t n = h->bucket(i);
+      const std::uint64_t n = h.buckets[i];
       if (n == 0) continue;
       os << (firstBucket ? "" : ", ") << '"' << i << "\": " << n;
       firstBucket = false;

@@ -8,7 +8,8 @@
 // kinds:
 //
 //   * Counter   — monotonic uint64, relaxed atomic add (~1 ns);
-//   * Gauge     — int64 with set() and max() (CAS loop), for peaks;
+//   * Gauge     — int64 with set() and max() (CAS loop), for peaks; a
+//     gauge carries labels, one series per label set;
 //   * Histogram — 65 fixed log2 buckets (bucket i counts values whose
 //     bit width is i: bucket 0 is value 0, bucket 64 tops out at
 //     UINT64_MAX), plus running count/sum, for distributions like
@@ -106,11 +107,18 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-// A point-in-time copy of every registered instrument, name-sorted.  This
-// is the decoupling seam for exporters that live in other translation units
-// (the OpenMetrics renderer, telemetry snapshots): they consume a snapshot
-// instead of becoming friends of Registry::Impl.
+// A gauge's labels as (key, value) pairs, in the order they render.
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+// A point-in-time copy of every registered instrument, sorted by name (and
+// gauges by label set within a name). Every renderer consumes a snapshot:
+// the text table, the JSON object and the OpenMetrics exposition.
 struct MetricsSnapshot {
+  struct GaugeValue {
+    std::string name;
+    std::int64_t value = 0;
+    Labels labels;
+  };
   struct HistogramValue {
     std::string name;
     std::uint64_t count = 0;
@@ -118,7 +126,7 @@ struct MetricsSnapshot {
     std::uint64_t buckets[Histogram::kBuckets] = {};
   };
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
+  std::vector<GaugeValue> gauges;
   std::vector<HistogramValue> histograms;
 };
 
@@ -128,7 +136,9 @@ struct MetricsSnapshot {
 class Registry {
  public:
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  // Gauges are keyed by (name, labels): one name may carry a series per
+  // label set, e.g. gpdd_tenant_sessions{tenant="acme"}.
+  Gauge& gauge(const std::string& name, const Labels& labels = {});
   Histogram& histogram(const std::string& name);
 
   // Copies every instrument under the registry lock. Relaxed per-instrument
@@ -145,8 +155,6 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
  private:
-  friend void renderMetricsText(std::ostream&, Registry&);
-  friend void renderMetricsJson(std::ostream&, Registry&);
   struct Impl;
   Impl* impl_;
 };
@@ -154,10 +162,18 @@ class Registry {
 // The process-wide registry the GPD_OBS_* macros record into.
 Registry& registry();
 
-// Renderers: a sorted text table / a JSON object keyed by metric name.
-// Histograms render count, sum, mean, and the non-empty log2 buckets.
-void renderMetricsText(std::ostream& os, Registry& reg);
-void renderMetricsJson(std::ostream& os, Registry& reg);
+// Escapes a label value per the exposition format: backslash, double quote,
+// and newline.
+std::string escapeLabelValue(const std::string& value);
+
+// The exposition spelling of one series: `name` without labels, else
+// `name{k1="v1",...}` with escaped values.
+std::string seriesName(const std::string& name, const Labels& labels);
+
+// Renderers: a text table / a JSON object keyed by series name. Histograms
+// render count, sum and the non-empty log2 buckets.
+void renderMetricsText(std::ostream& os, const MetricsSnapshot& snap);
+void renderMetricsJson(std::ostream& os, const MetricsSnapshot& snap);
 
 }  // namespace gpd::obs
 

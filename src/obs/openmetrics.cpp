@@ -10,40 +10,6 @@ namespace gpd::obs {
 
 namespace {
 
-// The per-tenant gauge fields the engine publishes under flat names
-// (engine.cpp publishTenantMetrics). Longest suffix first: tenant names may
-// themselves contain underscores, and "_sessions" is a suffix of none of
-// the others, but "_ev_bytes" vs "_bytes"-style collisions are avoided by
-// checking in this order.
-constexpr const char* kTenantFields[] = {
-    "budget_exhausted",
-    "ev_bytes",
-    "sessions",
-    "sheds",
-};
-
-constexpr char kTenantPrefix[] = "gpdd_tenant_";
-
-// Splits a flat per-tenant gauge name into (tenant, field); false when the
-// name is not a per-tenant gauge.
-bool splitTenantGauge(const std::string& name, std::string* tenant,
-                      std::string* field) {
-  const std::string prefix = kTenantPrefix;
-  if (name.compare(0, prefix.size(), prefix) != 0) return false;
-  for (const char* f : kTenantFields) {
-    const std::string suffix = std::string("_") + f;
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;
-    }
-    *tenant = name.substr(prefix.size(),
-                          name.size() - prefix.size() - suffix.size());
-    *field = f;
-    return true;
-  }
-  return false;
-}
-
 // Upper bound of log2 bucket i as a decimal string: bucket 0 holds value 0,
 // bucket i holds [2^(i-1), 2^i), whose largest integer is 2^i - 1.
 std::string bucketLe(int i) {
@@ -54,68 +20,26 @@ std::string bucketLe(int i) {
 
 }  // namespace
 
-std::string escapeLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-void renderOpenMetrics(
-    std::ostream& os, const MetricsSnapshot& snap,
-    const std::vector<std::pair<std::string, std::string>>& buildInfo) {
+void renderOpenMetrics(std::ostream& os, const MetricsSnapshot& snap,
+                       const Labels& buildInfo) {
   for (const auto& [name, value] : snap.counters) {
     os << "# TYPE " << name << " counter\n";
     os << name << "_total " << value << "\n";
   }
 
-  // Plain gauges stream through; per-tenant flat gauges are collected and
-  // re-emitted as labeled families below.
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string,
-                                                           std::int64_t>>>>
-      tenantFamilies;
-  for (const char* f : kTenantFields) {
-    tenantFamilies.emplace_back(f, std::vector<std::pair<std::string,
-                                                         std::int64_t>>());
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    std::string tenant, field;
-    if (splitTenantGauge(name, &tenant, &field)) {
-      for (auto& [f, samples] : tenantFamilies) {
-        if (f == field) samples.emplace_back(tenant, value);
-      }
-      continue;
+  // One # TYPE per run of same-name gauges: the snapshot sorts a name's
+  // label sets together.
+  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
+    const MetricsSnapshot::GaugeValue& g = snap.gauges[i];
+    if (i == 0 || snap.gauges[i - 1].name != g.name) {
+      os << "# TYPE " << g.name << " gauge\n";
     }
-    os << "# TYPE " << name << " gauge\n";
-    os << name << " " << value << "\n";
-  }
-  for (const auto& [field, samples] : tenantFamilies) {
-    if (samples.empty()) continue;
-    const std::string family = kTenantPrefix + field;
-    os << "# TYPE " << family << " gauge\n";
-    for (const auto& [tenant, value] : samples) {
-      os << family << "{tenant=\"" << escapeLabelValue(tenant) << "\"} "
-         << value << "\n";
-    }
+    os << seriesName(g.name, g.labels) << " " << g.value << "\n";
   }
 
   if (!buildInfo.empty()) {
     os << "# TYPE gpdd_build_info gauge\n";
-    os << "gpdd_build_info{";
-    bool first = true;
-    for (const auto& [key, value] : buildInfo) {
-      os << (first ? "" : ",") << key << "=\"" << escapeLabelValue(value)
-         << "\"";
-      first = false;
-    }
-    os << "} 1\n";
+    os << seriesName("gpdd_build_info", buildInfo) << " 1\n";
   }
 
   for (const MetricsSnapshot::HistogramValue& h : snap.histograms) {

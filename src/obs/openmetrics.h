@@ -5,11 +5,9 @@
 // renderOpenMetrics() turns a MetricsSnapshot into the Prometheus/
 // OpenMetrics text format: `# TYPE` metadata, counters as `<name>_total`,
 // gauges as-is, histograms as cumulative `_bucket{le="..."}` series plus
-// `_sum`/`_count`, terminated by `# EOF`.  Per-tenant gauges that the
-// engine registers under flat names (`gpdd_tenant_<name>_sessions`, …) are
-// re-shaped into labeled series (`gpdd_tenant_sessions{tenant="<name>"}`)
-// with proper label-value escaping, so a scraper sees one family per field
-// instead of one family per tenant.
+// `_sum`/`_count`, terminated by `# EOF`.  A gauge name with several label
+// sets renders as one family with one labelled sample per set
+// (`gpdd_tenant_sessions{tenant="<name>"}`), in label order.
 //
 // parseExposition() is the matching strict parser used by `gpdtool scrape`,
 // the loadgen telemetry assertions, and the golden round-trip test.  It
@@ -26,14 +24,9 @@
 
 namespace gpd::obs {
 
-// Escapes a label value per the exposition format: backslash, double quote,
-// and newline.
-std::string escapeLabelValue(const std::string& value);
-
 // `buildInfo` renders as `gpdd_build_info{k1="v1",...} 1` (empty → omitted).
-void renderOpenMetrics(
-    std::ostream& os, const MetricsSnapshot& snap,
-    const std::vector<std::pair<std::string, std::string>>& buildInfo);
+void renderOpenMetrics(std::ostream& os, const MetricsSnapshot& snap,
+                       const Labels& buildInfo);
 
 // One parsed sample line: name, labels in source order, value text parsed
 // as double (exact for the integers the renderer emits).

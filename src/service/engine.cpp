@@ -1184,58 +1184,105 @@ SliceStats Engine::sliceStats() const {
   return sl;
 }
 
+std::size_t Engine::liveTenantSessions(const std::string& tenant) const {
+  const auto live = impl_->tenantSessions.find(tenant);
+  return live == impl_->tenantSessions.end() ? 0 : live->second;
+}
+
 void Engine::publishTenantMetrics() const {
 #ifndef GPD_OBS_DISABLED
+  obs::Registry& reg = obs::registry();
   for (const auto& [name, t] : impl_->tenantStats) {
-    const auto live = impl_->tenantSessions.find(name);
-    const std::string prefix = "gpdd_tenant_" + name;
-    obs::registry()
-        .gauge(prefix + "_sessions")
-        .set(live == impl_->tenantSessions.end() ? 0 : live->second);
-    obs::registry().gauge(prefix + "_ev_bytes").set(t.evBytes);
-    obs::registry()
-        .gauge(prefix + "_sheds")
+    const obs::Labels tenant = {{"tenant", name}};
+    reg.gauge("gpdd_tenant_sessions", tenant).set(liveTenantSessions(name));
+    reg.gauge("gpdd_tenant_ev_bytes", tenant).set(t.evBytes);
+    reg.gauge("gpdd_tenant_sheds", tenant)
         .set(t.shedMem + t.shedBudget + t.shedIdle);
-    obs::registry().gauge(prefix + "_budget_exhausted").set(t.shedBudget);
+    reg.gauge("gpdd_tenant_budget_exhausted", tenant).set(t.shedBudget);
   }
   const SliceStats sl = sliceStats();
-  obs::registry().gauge("gpdd_slice_sessions").set(sl.sessions);
-  obs::registry().gauge("gpdd_slice_notifications").set(sl.notifications);
-  obs::registry().gauge("gpdd_slice_resolved").set(sl.resolved);
-  obs::registry().gauge("gpdd_slice_pending").set(sl.pending);
-  obs::registry().gauge("gpdd_slice_degraded").set(sl.degraded);
+  reg.gauge("gpdd_slice_sessions").set(sl.sessions);
+  reg.gauge("gpdd_slice_notifications").set(sl.notifications);
+  reg.gauge("gpdd_slice_resolved").set(sl.resolved);
+  reg.gauge("gpdd_slice_pending").set(sl.pending);
+  reg.gauge("gpdd_slice_degraded").set(sl.degraded);
 #endif
 }
 
-std::string Engine::statsJson() const {
-  publishTenantMetrics();
+// One STATS field. statsJson writes `"json":value` (the value quoted when
+// `quoted`); statsText writes the text key and the value, "-" when empty.
+struct Engine::StatsField {
+  const char* json;
+  const char* text;
+  std::string value;
+  bool quoted = false;
+};
+
+std::vector<Engine::StatsField> Engine::engineStatsFields() const {
   const EngineStats& st = stats_;
-  std::ostringstream os;
-  os << "{\"frames_accepted\":" << st.framesAccepted
-     << ",\"sessions_open\":" << impl_->sessions.size()
-     << ",\"sessions_opened\":" << st.sessionsOpened
-     << ",\"sessions_closed\":" << st.sessionsClosed
-     << ",\"shed_mem\":" << st.sessionsShedMem
-     << ",\"shed_budget\":" << st.sessionsShedBudget
-     << ",\"shed_idle\":" << st.sessionsShedIdle
-     << ",\"degraded_mem\":" << st.sessionsDegradedMem
-     << ",\"admission_rejects\":" << st.admissionRejects
-     << ",\"rate_limited\":" << st.rateLimited
-     << ",\"protocol_errors\":" << st.protocolErrors
-     << ",\"notifications\":" << st.notificationsDelivered
-     << ",\"nacks\":" << st.nacksEmitted
-     << ",\"detections\":" << st.detections << ",\"pumps\":" << st.pumps
-     << ",\"estimated_bytes\":" << totalBytes_
-     << ",\"mem_level\":" << memLevel_
-     << ",\"epoch\":" << checkpointEpoch_
-     << ",\"dirty_sessions\":" << dirtySessions()
-     << ",\"last_sync\":\"" << lastSyncToken_ << '"';
   const SliceStats sl = sliceStats();
-  os << ",\"slice_sessions\":" << sl.sessions
-     << ",\"slice_notifications\":" << sl.notifications
-     << ",\"slice_resolved\":" << sl.resolved
-     << ",\"slice_pending\":" << sl.pending
-     << ",\"slice_degraded\":" << sl.degraded;
+  const auto n = [](std::uint64_t v) { return std::to_string(v); };
+  return {
+      {"frames_accepted", "frames-accepted", n(st.framesAccepted)},
+      {"sessions_open", "sessions-open", n(impl_->sessions.size())},
+      {"sessions_opened", "sessions-opened", n(st.sessionsOpened)},
+      {"sessions_closed", "sessions-closed", n(st.sessionsClosed)},
+      {"shed_mem", "shed-mem", n(st.sessionsShedMem)},
+      {"shed_budget", "shed-budget", n(st.sessionsShedBudget)},
+      {"shed_idle", "shed-idle", n(st.sessionsShedIdle)},
+      {"degraded_mem", "degraded-mem", n(st.sessionsDegradedMem)},
+      {"admission_rejects", "admission-rejects", n(st.admissionRejects)},
+      {"rate_limited", "rate-limited", n(st.rateLimited)},
+      {"protocol_errors", "protocol-errors", n(st.protocolErrors)},
+      {"notifications", "notifications", n(st.notificationsDelivered)},
+      {"nacks", "nacks", n(st.nacksEmitted)},
+      {"detections", "detections", n(st.detections)},
+      {"pumps", "pumps", n(st.pumps)},
+      {"estimated_bytes", "estimated-bytes", n(totalBytes_)},
+      {"mem_level", "mem-level", n(memLevel_)},
+      {"epoch", "epoch", n(checkpointEpoch_)},
+      {"dirty_sessions", "dirty-sessions", n(dirtySessions())},
+      {"last_sync", "last-sync", lastSyncToken_, true},
+      {"slice_sessions", "slice-sessions", n(sl.sessions)},
+      {"slice_notifications", "slice-notifications", n(sl.notifications)},
+      {"slice_resolved", "slice-resolved", n(sl.resolved)},
+      {"slice_pending", "slice-pending", n(sl.pending)},
+      {"slice_degraded", "slice-degraded", n(sl.degraded)},
+  };
+}
+
+std::vector<Engine::StatsField> Engine::tenantStatsFields(
+    const std::string& name, const TenantStats& t) const {
+  const auto n = [](std::uint64_t v) { return std::to_string(v); };
+  return {
+      {"sessions_open", "open", n(liveTenantSessions(name))},
+      {"sessions_opened", "opened", n(t.sessionsOpened)},
+      {"sessions_closed", "closed", n(t.sessionsClosed)},
+      {"ev_bytes", "ev-bytes", n(t.evBytes)},
+      {"shed_mem", "shed-mem", n(t.shedMem)},
+      {"shed_budget", "shed-budget", n(t.shedBudget)},
+      {"shed_idle", "shed-idle", n(t.shedIdle)},
+      {"degraded_mem", "degraded-mem", n(t.degradedMem)},
+      {"rate_limited", "rate-limited", n(t.rateLimited)},
+      {"admission_rejects", "admission-rejects", n(t.admissionRejects)},
+  };
+}
+
+std::string Engine::statsJson() const {
+  std::ostringstream os;
+  const auto writeFields = [&os](const std::vector<StatsField>& fields) {
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const StatsField& f = fields[i];
+      os << (i == 0 ? "\"" : ",\"") << f.json << "\":";
+      if (f.quoted) {
+        os << '"' << f.value << '"';
+      } else {
+        os << f.value;
+      }
+    }
+  };
+  os << '{';
+  writeFields(engineStatsFields());
   if (!options_.buildInfo.empty()) {
     os << ",\"build\":{";
     bool firstLabel = true;
@@ -1251,69 +1298,30 @@ std::string Engine::statsJson() const {
   os << ",\"tenants\":{";
   bool first = true;
   for (const auto& [name, t] : impl_->tenantStats) {
-    if (!first) os << ',';
+    os << (first ? "\"" : ",\"") << name << "\":{";
     first = false;
-    const auto live = impl_->tenantSessions.find(name);
-    os << '"' << name << "\":{\"sessions_open\":"
-       << (live == impl_->tenantSessions.end() ? std::size_t{0} : live->second)
-       << ",\"sessions_opened\":" << t.sessionsOpened
-       << ",\"sessions_closed\":" << t.sessionsClosed
-       << ",\"ev_bytes\":" << t.evBytes << ",\"shed_mem\":" << t.shedMem
-       << ",\"shed_budget\":" << t.shedBudget
-       << ",\"shed_idle\":" << t.shedIdle
-       << ",\"degraded_mem\":" << t.degradedMem
-       << ",\"rate_limited\":" << t.rateLimited
-       << ",\"admission_rejects\":" << t.admissionRejects << '}';
+    writeFields(tenantStatsFields(name, t));
+    os << '}';
   }
   os << "}}";
   return os.str();
 }
 
 std::string Engine::statsText() const {
-  publishTenantMetrics();
-  const EngineStats& st = stats_;
   std::ostringstream os;
-  os << "gpdd stats\n"
-     << "  frames-accepted " << st.framesAccepted << '\n'
-     << "  sessions-open " << impl_->sessions.size() << '\n'
-     << "  sessions-opened " << st.sessionsOpened << '\n'
-     << "  sessions-closed " << st.sessionsClosed << '\n'
-     << "  shed-mem " << st.sessionsShedMem << '\n'
-     << "  shed-budget " << st.sessionsShedBudget << '\n'
-     << "  shed-idle " << st.sessionsShedIdle << '\n'
-     << "  degraded-mem " << st.sessionsDegradedMem << '\n'
-     << "  admission-rejects " << st.admissionRejects << '\n'
-     << "  rate-limited " << st.rateLimited << '\n'
-     << "  protocol-errors " << st.protocolErrors << '\n'
-     << "  notifications " << st.notificationsDelivered << '\n'
-     << "  nacks " << st.nacksEmitted << '\n'
-     << "  detections " << st.detections << '\n'
-     << "  pumps " << st.pumps << '\n'
-     << "  estimated-bytes " << totalBytes_ << '\n'
-     << "  mem-level " << memLevel_ << '\n'
-     << "  epoch " << checkpointEpoch_ << '\n'
-     << "  dirty-sessions " << dirtySessions() << '\n'
-     << "  last-sync " << (lastSyncToken_.empty() ? "-" : lastSyncToken_.c_str())
-     << '\n';
-  const SliceStats sl = sliceStats();
-  os << "  slice-sessions " << sl.sessions << '\n'
-     << "  slice-notifications " << sl.notifications << '\n'
-     << "  slice-resolved " << sl.resolved << '\n'
-     << "  slice-pending " << sl.pending << '\n'
-     << "  slice-degraded " << sl.degraded << '\n';
+  os << "gpdd stats\n";
+  for (const StatsField& f : engineStatsFields()) {
+    os << "  " << f.text << ' ' << (f.value.empty() ? "-" : f.value) << '\n';
+  }
   for (const auto& [key, value] : options_.buildInfo) {
     os << "  build-" << key << ' ' << value << '\n';
   }
   for (const auto& [name, t] : impl_->tenantStats) {
-    const auto live = impl_->tenantSessions.find(name);
-    os << "tenant " << name << " open="
-       << (live == impl_->tenantSessions.end() ? std::size_t{0} : live->second)
-       << " opened=" << t.sessionsOpened << " closed=" << t.sessionsClosed
-       << " ev-bytes=" << t.evBytes << " shed-mem=" << t.shedMem
-       << " shed-budget=" << t.shedBudget << " shed-idle=" << t.shedIdle
-       << " degraded-mem=" << t.degradedMem << " rate-limited="
-       << t.rateLimited << " admission-rejects=" << t.admissionRejects
-       << '\n';
+    os << "tenant " << name;
+    for (const StatsField& f : tenantStatsFields(name, t)) {
+      os << ' ' << f.text << '=' << f.value;
+    }
+    os << '\n';
   }
   return os.str();
 }

@@ -110,8 +110,8 @@ struct EngineOptions {
 // Per-tenant service counters: the STATS breakdown operators page on when
 // one tenant misbehaves. Deterministic plain copies (updated in the
 // single-threaded admission/sweep phases or merged from shard accumulators
-// in shard order), mirrored into the gpd::obs registry as
-// gpdd_tenant_<name>_* gauges whenever STATS renders.
+// in shard order), mirrored into the gpd::obs registry as labelled
+// gpdd_tenant_* gauges by Engine::publishTenantMetrics.
 struct TenantStats {
   std::uint64_t sessionsOpened = 0;
   std::uint64_t sessionsClosed = 0;
@@ -245,7 +245,7 @@ class Engine {
 
   // The STATS frame body: one-line JSON of EngineStats + live gauges +
   // per-tenant breakdowns, or the multi-line text rendering of the same.
-  // Both publish the per-tenant numbers into the gpd::obs registry.
+  // Both render one field list and write nothing to the gpd::obs registry.
   std::string statsJson() const;
   std::string statsText() const;
 
@@ -256,10 +256,10 @@ class Engine {
   // run without SessionOptions::enableSlice).
   SliceStats sliceStats() const;
 
-  // Mirrors the per-tenant numbers into the gpd::obs registry as
-  // gpdd_tenant_<name>_* gauges. statsJson/statsText call this; the
-  // telemetry exposition path calls it directly so a scrape stays fresh
-  // even when no client is polling STATS.
+  // Mirrors the per-tenant numbers into the gpd::obs registry as labelled
+  // gauges, gpdd_tenant_{sessions,ev_bytes,sheds,budget_exhausted} with
+  // {tenant="<name>"}, plus the gpdd_slice_* aggregates. Callers that
+  // render the registry (telemetry, --stats-dump) call it first.
   void publishTenantMetrics() const;
 
  private:
@@ -267,6 +267,14 @@ class Engine {
   struct Cmd;
   struct Impl;
   struct ShardAcc;
+
+  // The STATS fields in render order: the engine-wide list, and one list
+  // per tenant. statsJson and statsText differ only in framing.
+  struct StatsField;
+  std::vector<StatsField> engineStatsFields() const;
+  std::vector<StatsField> tenantStatsFields(const std::string& name,
+                                            const TenantStats& t) const;
+  std::size_t liveTenantSessions(const std::string& tenant) const;
 
   void writeManifestText(std::ostream& os, bool delta, std::uint64_t epoch,
                          std::uint64_t parentEpoch,

@@ -97,7 +97,7 @@ TEST(Registry, ResetZeroesEveryInstrument) {
 TEST(Renderers, TextListsPreRegisteredInventory) {
   registry().reset();
   std::ostringstream os;
-  renderMetricsText(os, registry());
+  renderMetricsText(os, registry().snapshot());
   const std::string text = os.str();
   for (const char* name :
        {"cpdhb_invocations", "cpdhb_comparisons", "cuts_enumerated",
@@ -118,7 +118,7 @@ TEST(Renderers, JsonIsWellFormedAndGrouped) {
   registry().counter("cpdhb_invocations").add(3);
   registry().histogram("plan_vs_actual").observe(12);
   std::ostringstream os;
-  renderMetricsJson(os, registry());
+  renderMetricsJson(os, registry().snapshot());
   const std::string json = os.str();
   EXPECT_TRUE(obs::testing::isValidJson(json)) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -127,6 +127,30 @@ TEST(Renderers, JsonIsWellFormedAndGrouped) {
   EXPECT_NE(json.find("\"cpdhb_invocations\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"plan_vs_actual\""), std::string::npos);
   registry().reset();
+}
+
+// A labelled gauge renders under its exposition spelling, JSON-escaped in
+// the JSON object.
+TEST(Renderers, LabelledGaugesRenderAsSeriesNames) {
+  Registry reg;
+  reg.gauge("gpdd_tenant_sessions", {{"tenant", "acme"}}).set(3);
+  reg.gauge("gpdd_tenant_sessions", {{"tenant", "q\"uote"}}).set(4);
+  std::ostringstream text;
+  renderMetricsText(text, reg.snapshot());
+  EXPECT_NE(
+      text.str().find(R"(gauge      gpdd_tenant_sessions{tenant="acme"})"),
+      std::string::npos)
+      << text.str();
+  std::ostringstream os;
+  renderMetricsJson(os, reg.snapshot());
+  const std::string json = os.str();
+  EXPECT_TRUE(obs::testing::isValidJson(json)) << json;
+  EXPECT_NE(json.find(R"("gpdd_tenant_sessions{tenant=\"acme\"}": 3)"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("gpdd_tenant_sessions{tenant=\"q\\\"uote\"}": 4)"),
+            std::string::npos)
+      << json;
 }
 
 TEST(Macros, RecordIntoTheProcessRegistry) {

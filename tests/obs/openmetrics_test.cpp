@@ -1,22 +1,26 @@
 // src/obs/openmetrics: OpenMetrics exposition renderer and its strict
 // parser (DESIGN.md §16).  The renderer consumes a MetricsSnapshot — a
-// plain value type — so these tests hand-build snapshots and are identical
-// in default-on and GPD_OBS_DISABLED builds.
+// plain value type — so most tests hand-build snapshots or local registries
+// and are identical in default-on and GPD_OBS_DISABLED builds; the engine
+// end-to-end case expects no tenant gauges when the macros compile out.
 #include "obs/openmetrics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "service/engine.h"
 #include "util/check.h"
 
 namespace gpd::obs {
 namespace {
 
-std::string render(const MetricsSnapshot& snap,
-                   const std::vector<std::pair<std::string, std::string>>&
-                       buildInfo = {}) {
+std::string render(const MetricsSnapshot& snap, const Labels& buildInfo = {}) {
   std::ostringstream os;
   renderOpenMetrics(os, snap, buildInfo);
   return os.str();
@@ -77,42 +81,125 @@ TEST(OpenMetrics, RenderParseRoundTrip) {
   EXPECT_EQ(hist.samples[3].value, 3);
 }
 
-TEST(OpenMetrics, TenantGaugesReshapeIntoLabeledFamilies) {
-  MetricsSnapshot snap;
-  // Tenant names may contain underscores; the field suffix is matched from
-  // the right, so "big_co" survives intact.
-  snap.gauges.emplace_back("gpdd_tenant_acme_sessions", 4);
-  snap.gauges.emplace_back("gpdd_tenant_big_co_sessions", 9);
-  snap.gauges.emplace_back("gpdd_tenant_acme_ev_bytes", 1024);
-  snap.gauges.emplace_back("gpdd_mem_level", 1);
+// Tenant names that are prefixes of one another or contain a field name.
+const char* const kTenants[] = {"t1", "t10", "x_sheds", "a.b", "big_co"};
 
-  const Exposition exp = parseExposition(render(snap));
+TEST(OpenMetrics, TenantGaugesReshapeIntoLabeledFamilies) {
+  Registry reg;
+  std::int64_t v = 0;
+  for (const char* t : kTenants) {
+    reg.gauge("gpdd_tenant_sessions", {{"tenant", t}}).set(++v);
+    reg.gauge("gpdd_tenant_ev_bytes", {{"tenant", t}}).set(100 * v);
+  }
+  reg.gauge("gpdd_tenant_sessions", {{"tenant", "q\"uote"}}).set(7);
+  reg.gauge("gpdd_mem_level").set(1);
+  // One instrument per (name, label set).
+  EXPECT_EQ(&reg.gauge("gpdd_tenant_sessions", {{"tenant", "t1"}}),
+            &reg.gauge("gpdd_tenant_sessions", {{"tenant", "t1"}}));
+  EXPECT_NE(&reg.gauge("gpdd_tenant_sessions", {{"tenant", "t1"}}),
+            &reg.gauge("gpdd_tenant_sessions", {{"tenant", "t10"}}));
+
+  const Exposition exp = parseExposition(render(reg.snapshot()));
   const ExpositionSample* plain = exp.find("gpdd_mem_level");
   ASSERT_NE(plain, nullptr);
   EXPECT_TRUE(plain->labels.empty());
 
-  bool sawAcme = false, sawBigCo = false;
+  // One family per name; samples sorted by tenant name.
+  std::vector<std::string> order;
+  int families = 0;
   for (const ExpositionFamily& fam : exp.families) {
     if (fam.name != "gpdd_tenant_sessions") continue;
+    ++families;
     EXPECT_EQ(fam.type, "gauge");
     for (const ExpositionSample& s : fam.samples) {
       ASSERT_EQ(s.labels.size(), 1u);
       EXPECT_EQ(s.labels[0].first, "tenant");
-      if (s.labels[0].second == "acme") {
-        sawAcme = true;
-        EXPECT_EQ(s.value, 4);
-      }
-      if (s.labels[0].second == "big_co") {
-        sawBigCo = true;
-        EXPECT_EQ(s.value, 9);
-      }
+      order.push_back(s.labels[0].second);
     }
   }
-  EXPECT_TRUE(sawAcme);
-  EXPECT_TRUE(sawBigCo);
-  EXPECT_EQ(exp.find("gpdd_tenant_acme_sessions"), nullptr)
-      << "flat tenant gauge leaked through un-reshaped";
-  EXPECT_EQ(exp.value("gpdd_tenant_ev_bytes", -1), 1024);
+  EXPECT_EQ(families, 1);
+  EXPECT_EQ(order, (std::vector<std::string>{"a.b", "big_co", "q\"uote", "t1",
+                                             "t10", "x_sheds"}));
+  EXPECT_EQ(exp.find("gpdd_tenant_sessions")->value, 4);  // a.b
+  EXPECT_EQ(exp.find("gpdd_tenant_ev_bytes")->value, 400);
+}
+
+// Engine → publishTenantMetrics → snapshot → exposition → parser: every
+// per-tenant sample equals Engine::tenantStats(), no flat per-tenant name
+// survives, and samples follow the STATS "tenants" order.
+TEST(OpenMetrics, EngineTenantGaugesMatchTenantStats) {
+  service::EngineOptions opt;
+  opt.sessionMaxCombinations = 3;
+  service::Engine eng(opt);
+  for (const char* t : kTenants) {
+    const std::string ts = t;
+    eng.submit("OPEN " + ts + " s0 2");
+    eng.submit("EV " + ts + " s0 0 0 1 0");
+  }
+  eng.submit("OPEN x_sheds s1 2");
+  for (int seq = 0; seq < 4; ++seq) {  // the 4th delivery is over budget
+    eng.submit("EV x_sheds s1 0 " + std::to_string(seq) + " " +
+               std::to_string(seq + 1) + " 0");
+  }
+  eng.submit("CLOSE t10 s0");
+  std::vector<service::Response> out;
+  eng.pump(out, nullptr);
+
+  eng.publishTenantMetrics();
+  const Exposition exp = parseExposition(render(registry().snapshot()));
+  const auto& stats = eng.tenantStats();
+  const std::string json = eng.statsJson();
+  std::vector<std::string> statsOrder(std::begin(kTenants), std::end(kTenants));
+  std::sort(statsOrder.begin(), statsOrder.end(),
+            [&](const std::string& a, const std::string& b) {
+              const std::size_t at = json.find("\"tenants\":{");
+              return json.find('"' + a + "\":{", at) <
+                     json.find('"' + b + "\":{", at);
+            });
+
+  std::map<std::string, std::vector<std::string>> orderByFamily;
+  for (const ExpositionFamily& fam : exp.families) {
+    if (fam.name.rfind("gpdd_tenant_", 0) != 0) continue;
+    for (const ExpositionSample& s : fam.samples) {
+      EXPECT_EQ(s.name, fam.name) << "flat per-tenant sample " << s.name;
+      ASSERT_EQ(s.labels.size(), 1u) << s.name;
+      EXPECT_EQ(s.labels[0].first, "tenant");
+      const std::string& tenant = s.labels[0].second;
+      ASSERT_EQ(stats.count(tenant), 1u) << tenant;
+      const service::TenantStats& t = stats.at(tenant);
+      double want = -1;
+      if (s.name == "gpdd_tenant_sessions") {
+        want = static_cast<double>(t.sessionsOpened - t.sessionsClosed);
+      } else if (s.name == "gpdd_tenant_ev_bytes") {
+        want = static_cast<double>(t.evBytes);
+      } else if (s.name == "gpdd_tenant_sheds") {
+        want = static_cast<double>(t.shedMem + t.shedBudget + t.shedIdle);
+      } else if (s.name == "gpdd_tenant_budget_exhausted") {
+        want = static_cast<double>(t.shedBudget);
+      }
+      EXPECT_EQ(s.value, want) << s.name << " " << tenant;
+      orderByFamily[fam.name].push_back(tenant);
+    }
+  }
+  for (const char* t : kTenants) {
+    for (const char* field :
+         {"sessions", "ev_bytes", "sheds", "budget_exhausted"}) {
+      const std::string flat =
+          std::string("gpdd_tenant_") + t + "_" + field;
+      EXPECT_EQ(exp.find(flat), nullptr) << flat;
+    }
+  }
+#ifndef GPD_OBS_DISABLED
+  EXPECT_EQ(orderByFamily.size(), 4u);
+  for (const auto& [family, order] : orderByFamily) {
+    EXPECT_EQ(order, statsOrder) << family;
+  }
+  EXPECT_EQ(stats.at("x_sheds").shedBudget, 1u);
+  EXPECT_EQ(stats.at("t10").sessionsClosed, 1u);
+#else
+  // Kill switch: publishTenantMetrics compiles out.
+  EXPECT_TRUE(orderByFamily.empty());
+#endif
 }
 
 TEST(OpenMetrics, ParserAcceptsEscapedLabelValues) {

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "temp_path.h"
 #include "util/check.h"
 
 namespace gpd::service {
@@ -484,6 +486,42 @@ TEST(Engine, StatsJsonSchemaGolden) {
   // pre-telemetry scrapers see the original schema.
   Engine bare;
   EXPECT_EQ(bare.statsJson().find("\"build\""), std::string::npos);
+}
+
+// Pins statsJson() and statsText() byte for byte (stats.golden: the JSON
+// line, then the text rendering). The tenant names are prefixes of one
+// another (t1, t10) or contain a per-tenant field name (x_sheds, big_co),
+// and the script closes, sheds, rejects and rate-limits sessions. On a
+// mismatch the actual output is written next to the test's temp files.
+TEST(Engine, StatsOutputMatchesGolden) {
+  EngineOptions opt;
+  opt.maxSessionsPerTenant = 2;
+  opt.sessionMaxCombinations = 3;
+  opt.tenantRateBytesPerPump = 100;
+  opt.session.enableSlice = true;
+  opt.buildInfo = {{"version", "v1.2"}, {"obs", "on"}};
+  Engine eng(opt);
+  for (const char* t : {"t1", "t10", "x_sheds", "a.b", "big_co"}) {
+    pumpAll(eng, detectingSession(t, "s0"));
+  }
+  pumpAll(eng, {"OPEN t1 s1 2", "OPEN t1 s2 2", "CLOSE t10 s0",
+                "OPEN x_sheds s1 2", "EV x_sheds s1 0 0 1 0",
+                "EV x_sheds s1 0 1 2 0", "EV x_sheds s1 0 2 3 0",
+                "EV x_sheds s1 0 3 4 0", "BOGUS", "OPEN bad/name s0 2"});
+  pumpAll(eng, {"OPEN big_co s1 2", "EV big_co s1 0 0 1 0",
+                "EV big_co s1 0 1 2 0", "EV big_co s1 0 2 3 0",
+                "EV big_co s1 0 3 4 0", "EV big_co s1 0 4 5 0",
+                "EV big_co s1 0 5 6 0", "SYNC mark-1"});
+  const std::string actual = eng.statsJson() + "\n" + eng.statsText();
+  std::ifstream in(STATS_GOLDEN, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot read " << STATS_GOLDEN;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  if (golden.str() == actual) return;
+  const std::string path = uniqueTempPath("stats_golden");
+  std::ofstream(path, std::ios::binary) << actual;
+  ADD_FAILURE() << "STATS output differs from the golden:\n"
+                << actual << "\nwritten to " << path;
 }
 
 TEST(Engine, SliceEnabledSessionsAggregateInStats) {

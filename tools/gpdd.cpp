@@ -384,9 +384,10 @@ bool writeAllTimed(int fd, const std::string& bytes, int timeoutMs) {
 }
 
 void dumpStats(const service::Engine& engine, const std::string& path) {
+  engine.publishTenantMetrics();
   std::ostringstream os;
   os << "{\"engine\":" << engine.statsJson() << ",\"obs\":";
-  obs::renderMetricsJson(os, obs::registry());
+  obs::renderMetricsJson(os, obs::registry().snapshot());
   os << "}\n";
   io::atomicWriteFile(path, os.str());
 }

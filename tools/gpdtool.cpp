@@ -390,9 +390,9 @@ int finishObs(const ObsFlags& flags, int code) {
   }
   if (flags.stats) {
     if (flags.json) {
-      obs::renderMetricsJson(std::cout, obs::registry());
+      obs::renderMetricsJson(std::cout, obs::registry().snapshot());
     } else {
-      obs::renderMetricsText(std::cout, obs::registry());
+      obs::renderMetricsText(std::cout, obs::registry().snapshot());
     }
   }
   return code;
