@@ -1,8 +1,10 @@
 // A8 — static-analysis throughput and the planner as a cost oracle.
 //
 // Two tables:
-//   (1) lint + plan wall time per trace size — the analysis passes must be
-//       cheap enough to run before every detection;
+//   (1) strict read, lint and plan wall time per trace size — the analysis
+//       passes must be cheap enough to run before every detection, and
+//       read_ms next to lint_ms times both users of the one gpd-trace
+//       parser (io::parseTrace);
 //   (2) predicted vs actual CPDHB invocation counts for the Sec. 3.3
 //       enumerations — the plan's predicted budget must equal the
 //       combinationsTotal the detector reports (predicted/actual == 1).
@@ -13,11 +15,11 @@
 int main() {
   using namespace gpd;
   bench::banner("A8 / analyze: lint + plan",
-                "Lint throughput over serialized traces, and planner "
+                "Read and lint throughput over serialized traces, and planner "
                 "predictions checked against the detectors' own counters.");
 
-  Table lintTable({"procs", "events", "trace_bytes", "lint_ms", "plan_ms",
-                   "diags"});
+  Table lintTable({"procs", "events", "trace_bytes", "read_ms", "lint_ms",
+                   "plan_ms", "diags"});
   Rng rng(811);
   for (const int procs : {4, 8, 16}) {
     for (const int events : {16, 64}) {
@@ -31,6 +33,13 @@ int main() {
       std::ostringstream os;
       io::writeTrace(os, comp, trace);
       const std::string text = os.str();
+
+      io::TraceFile read;
+      const double readMs = bench::timeMs([&] {
+        std::istringstream is(text);
+        read = io::readTrace(is);
+      });
+      GPD_CHECK(read.computation->totalEvents() == comp.totalEvents());
 
       analyze::LintResult lint;
       const double lintMs = bench::timeMs([&] {
@@ -51,8 +60,9 @@ int main() {
       });
       GPD_CHECK(report.chosen().algorithm == analyze::Algorithm::Cpdhb);
 
-      lintTable.row(procs, events, text.size(), bench::fmtMs(lintMs),
-                    bench::fmtMs(planMs), lint.diagnostics.size());
+      lintTable.row(procs, events, text.size(), bench::fmtMs(readMs),
+                    bench::fmtMs(lintMs), bench::fmtMs(planMs),
+                    lint.diagnostics.size());
     }
   }
   lintTable.print(std::cout);

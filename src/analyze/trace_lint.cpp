@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <map>
-#include <optional>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -19,72 +16,23 @@ namespace gpd::analyze {
 
 namespace {
 
-// The raw, unvalidated shape of the stream: everything the parser could
-// recover, each with the line it came from.
-struct RawMessage {
-  int sendProcess = 0;
-  int sendIndex = 0;
-  int receiveProcess = 0;
-  int receiveIndex = 0;
-  int line = 0;
-};
-
-struct RawVariable {
-  ProcessId process = 0;
-  std::string name;
-  std::vector<std::int64_t> values;
-  int line = 0;
-};
-
-// Non-throwing twin of the strict reader's tokenizer: same whitespace and
-// integer semantics (std::istringstream extraction, std::stoll with a
-// full-token check), but failures surface as nullopt instead of InputError.
-class Tokens {
- public:
-  explicit Tokens(std::string text) : stream_(std::move(text)) {}
-
-  std::optional<std::string> word() {
-    std::string w;
-    if (stream_ >> w) return w;
-    return std::nullopt;
-  }
-
-  // The trailing token, if the line has one (strict readers reject it).
-  std::optional<std::string> trailing() { return word(); }
-
- private:
-  std::istringstream stream_;
-};
-
-std::optional<long long> parseInteger(const std::string& w) {
-  long long v = 0;
-  std::size_t used = 0;
-  try {
-    v = std::stoll(w, &used);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (used != w.size() || w.empty()) return std::nullopt;
-  return v;
-}
+using MessageLine = io::ParsedTrace::Message;
+using VariableLine = io::ParsedTrace::Variable;
 
 class Linter {
  public:
   Linter(std::istream& is, const LintOptions& opts) : is_(is), opts_(opts) {}
 
   LintResult run() {
-    if (parseStructure() && result_.ok()) {
-      detectCycles();
-    }
-    if (result_.ok() && processes_ > 0) {
-      buildAndCheckSemantics();
-    }
+    parsed_ = io::parseTrace(is_, [this](const io::TraceFault& f) {
+      error(f.code, f.line, f.message);
+    });
+    if (result_.ok()) detectCycles();
+    if (result_.ok()) buildAndCheckSemantics();
     return std::move(result_);
   }
 
  private:
-  // ---- diagnostics ----
-
   void emit(Severity sev, const char* code, int line, const std::string& msg) {
     result_.diagnostics.push_back(Diagnostic{sev, code, line, msg});
   }
@@ -96,253 +44,16 @@ class Linter {
   }
   void info(const std::string& msg) { emit(Severity::Info, "I001", 0, msg); }
 
-  // ---- line reading (same blank-skipping rule as the strict reader) ----
-
-  std::optional<std::pair<std::string, int>> nextLine() {
-    std::string text;
-    while (std::getline(is_, text)) {
-      ++lineNumber_;
-      if (text.find_first_not_of(" \t\r") == std::string::npos) continue;
-      return std::make_pair(std::move(text), lineNumber_);
-    }
-    return std::nullopt;
-  }
-
-  int hereOrOne() const { return lineNumber_ > 0 ? lineNumber_ : 1; }
-
-  // Integer token with the strict reader's range treatment; emits `code` and
-  // returns nullopt on any fault.
-  std::optional<long long> integerField(Tokens& tokens, int line,
-                                        const char* code, const char* what,
-                                        long long lo, long long hi) {
-    const auto w = tokens.word();
-    if (!w) {
-      error(code, line, std::string("missing ") + what);
-      return std::nullopt;
-    }
-    const auto v = parseInteger(*w);
-    if (!v) {
-      error(code, line, "'" + *w + "' is not an integer (" + what + ")");
-      return std::nullopt;
-    }
-    if (*v < lo || *v > hi) {
-      std::ostringstream os;
-      os << what << ' ' << *v << " out of range [" << lo << ", " << hi << "]";
-      error(code, line, os.str());
-      return std::nullopt;
-    }
-    return v;
-  }
-
-  bool expectLineDone(Tokens& tokens, int line, const char* code) {
-    if (const auto extra = tokens.trailing()) {
-      error(code, line, "unexpected trailing '" + *extra + "'");
-      return false;
-    }
-    return true;
-  }
-
-  // ---- structural pass ----
-
-  // Header, processes and events lines; false when the prologue is too
-  // broken to recover counts (body not parsed — nothing to anchor it to).
-  bool parsePrologue() {
-    auto header = nextLine();
-    if (!header) {
-      error("E101", hereOrOne(), "truncated trace: missing header");
-      return false;
-    }
-    {
-      Tokens tokens(header->first);
-      const auto magic = tokens.word();
-      if (!magic || *magic != io::kTraceMagic) {
-        error("E101", header->second, "not a gpd-trace stream");
-        return false;
-      }
-      const auto version =
-          integerField(tokens, header->second, "E101", "version", 0,
-                       std::numeric_limits<long long>::max());
-      if (!version) return false;
-      if (*version != io::kTraceVersion) {
-        std::ostringstream os;
-        os << "unsupported trace version " << *version << " (expected "
-           << io::kTraceVersion << ")";
-        error("E101", header->second, os.str());
-        return false;
-      }
-      if (!expectLineDone(tokens, header->second, "E101")) return false;
-    }
-
-    auto processesLine = nextLine();
-    if (!processesLine) {
-      error("E102", hereOrOne(), "truncated trace: missing 'processes' line");
-      return false;
-    }
-    {
-      Tokens tokens(processesLine->first);
-      const auto keyword = tokens.word();
-      if (!keyword || *keyword != "processes") {
-        error("E102", processesLine->second, "expected 'processes'");
-        return false;
-      }
-      const auto count = integerField(tokens, processesLine->second, "E102",
-                                      "process count", 1, io::kTraceMaxProcesses);
-      if (!count) return false;
-      if (!expectLineDone(tokens, processesLine->second, "E102")) return false;
-      processes_ = static_cast<int>(*count);
-    }
-
-    auto eventsLine = nextLine();
-    if (!eventsLine) {
-      error("E103", hereOrOne(), "truncated trace: missing 'events' line");
-      return false;
-    }
-    {
-      Tokens tokens(eventsLine->first);
-      const auto keyword = tokens.word();
-      if (!keyword || *keyword != "events") {
-        error("E103", eventsLine->second, "expected 'events'");
-        return false;
-      }
-      counts_.resize(processes_);
-      long long total = 0;
-      for (int& c : counts_) {
-        const auto v = integerField(tokens, eventsLine->second, "E103",
-                                    "event count", 1, io::kTraceMaxTotalEvents);
-        if (!v) return false;
-        c = static_cast<int>(*v);
-        total += *v;
-        if (total > io::kTraceMaxTotalEvents) {
-          std::ostringstream os;
-          os << "total event count " << total << " exceeds the "
-             << io::kTraceMaxTotalEvents << " limit";
-          error("E103", eventsLine->second, os.str());
-          return false;
-        }
-      }
-      if (!expectLineDone(tokens, eventsLine->second, "E103")) return false;
-    }
-    return true;
-  }
-
-  void parseMessageLine(Tokens& tokens, int line) {
-    RawMessage m;
-    m.line = line;
-    const auto sp =
-        integerField(tokens, line, "E105", "send process", 0, processes_ - 1);
-    if (!sp) return;
-    m.sendProcess = static_cast<int>(*sp);
-    const auto si = integerField(tokens, line, "E105", "send index", 1,
-                                 counts_[m.sendProcess] - 1);
-    if (!si) return;
-    m.sendIndex = static_cast<int>(*si);
-    const auto rp = integerField(tokens, line, "E105", "receive process", 0,
-                                 processes_ - 1);
-    if (!rp) return;
-    m.receiveProcess = static_cast<int>(*rp);
-    if (m.receiveProcess == m.sendProcess) {
-      std::ostringstream os;
-      os << "message from process " << m.sendProcess << " to itself";
-      error("E105", line, os.str());
-      return;
-    }
-    const auto ri = integerField(tokens, line, "E105", "receive index", 1,
-                                 counts_[m.receiveProcess] - 1);
-    if (!ri) return;
-    m.receiveIndex = static_cast<int>(*ri);
-    if (!expectLineDone(tokens, line, "E104")) return;
-    if (!messagesSeen_
-             .emplace(m.sendProcess, m.sendIndex, m.receiveProcess,
-                      m.receiveIndex)
-             .second) {
-      std::ostringstream os;
-      os << "duplicate message " << m.sendProcess << ":" << m.sendIndex
-         << " -> " << m.receiveProcess << ":" << m.receiveIndex;
-      error("E105", line, os.str());
-      return;
-    }
-    messages_.push_back(m);
-  }
-
-  void parseVarLine(Tokens& tokens, int line) {
-    RawVariable v;
-    v.line = line;
-    const auto p =
-        integerField(tokens, line, "E106", "var process", 0, processes_ - 1);
-    if (!p) return;
-    v.process = static_cast<ProcessId>(*p);
-    const auto name = tokens.word();
-    if (!name) {
-      error("E104", line, "missing variable name");
-      return;
-    }
-    v.name = *name;
-    if (!varsSeen_.emplace(v.process, v.name).second) {
-      std::ostringstream os;
-      os << "duplicate variable '" << v.name << "' on process " << v.process;
-      error("E106", line, os.str());
-      return;
-    }
-    v.values.resize(counts_[v.process]);
-    for (auto& x : v.values) {
-      const auto value =
-          integerField(tokens, line, "E106", "var value",
-                       std::numeric_limits<std::int64_t>::min(),
-                       std::numeric_limits<std::int64_t>::max());
-      if (!value) return;
-      x = *value;
-    }
-    if (!expectLineDone(tokens, line, "E104")) return;
-    variables_.push_back(std::move(v));
-  }
-
-  // Whole-stream structural pass; true when the prologue parsed (the body
-  // may still have emitted per-line errors).
-  bool parseStructure() {
-    if (!parsePrologue()) return false;
-
-    bool sawEnd = false;
-    while (auto line = nextLine()) {
-      Tokens tokens(line->first);
-      const auto keyword = tokens.word();
-      if (!keyword) {
-        // Non-blank by the reader's rule (e.g. a lone \v or \f) yet empty
-        // under stream tokenization — the strict reader rejects it too.
-        error("E104", line->second, "missing trace keyword");
-        continue;
-      }
-      if (*keyword == "end") {
-        expectLineDone(tokens, line->second, "E104");
-        sawEnd = true;
-        break;
-      }
-      if (*keyword == "message") {
-        parseMessageLine(tokens, line->second);
-      } else if (*keyword == "var") {
-        parseVarLine(tokens, line->second);
-      } else {
-        error("E104", line->second,
-              "unknown trace keyword '" + *keyword + "'");
-      }
-    }
-    if (!sawEnd) {
-      error("E108", hereOrOne(), "truncated trace: missing 'end'");
-    } else if (const auto trailing = nextLine()) {
-      error("E108", trailing->second, "content after 'end'");
-    }
-    return true;
-  }
-
   // ---- causality ----
 
   int node(ProcessId p, int index) const { return offsets_[p] + index; }
 
   void computeOffsets() {
-    offsets_.assign(processes_, 0);
+    offsets_.assign(parsed_.processes, 0);
     totalEvents_ = 0;
-    for (ProcessId p = 0; p < processes_; ++p) {
+    for (ProcessId p = 0; p < parsed_.processes; ++p) {
       offsets_[p] = totalEvents_;
-      totalEvents_ += counts_[p];
+      totalEvents_ += parsed_.counts[p];
     }
   }
 
@@ -354,12 +65,12 @@ class Linter {
     computeOffsets();
     std::vector<std::vector<int>> succ(totalEvents_);
     std::map<std::pair<int, int>, int> messageLine;
-    for (ProcessId p = 0; p < processes_; ++p) {
-      for (int i = 0; i + 1 < counts_[p]; ++i) {
+    for (ProcessId p = 0; p < parsed_.processes; ++p) {
+      for (int i = 0; i + 1 < parsed_.counts[p]; ++i) {
         succ[node(p, i)].push_back(node(p, i + 1));
       }
     }
-    for (const RawMessage& m : messages_) {
+    for (const MessageLine& m : parsed_.messages) {
       const int u = node(m.sendProcess, m.sendIndex);
       const int v = node(m.receiveProcess, m.receiveIndex);
       succ[u].push_back(v);
@@ -417,27 +128,14 @@ class Linter {
   // ---- build + semantic checks ----
 
   void buildAndCheckSemantics() {
-    ComputationBuilder builder(processes_);
-    for (ProcessId p = 0; p < processes_; ++p) {
-      for (int i = 1; i < counts_[p]; ++i) builder.appendEvent(p);
-    }
-    for (const RawMessage& m : messages_) {
-      builder.addMessage({m.sendProcess, m.sendIndex},
-                         {m.receiveProcess, m.receiveIndex});
-    }
     try {
-      result_.computation =
-          std::make_unique<Computation>(std::move(builder).build());
-    } catch (const CheckFailure& e) {
+      io::TraceFile file = io::buildTrace(parsed_);
+      result_.computation = std::move(file.computation);
+      result_.trace = std::move(file.trace);
+    } catch (const InputError& e) {
       // detectCycles() should have caught this; keep the lint non-throwing.
-      error("E201", 0,
-            std::string("trace describes an impossible computation: ") +
-                e.what());
+      error("E201", 0, e.what());
       return;
-    }
-    result_.trace = std::make_unique<VariableTrace>(*result_.computation);
-    for (const RawVariable& v : variables_) {
-      result_.trace->define(v.process, v.name, v.values);
     }
 
     const VectorClocks clocks(*result_.computation);
@@ -451,7 +149,7 @@ class Linter {
   // equivalence  e ≤ f ⟺ f reachable from e  against the explicit DAG.
   void checkClockConsistency(const VectorClocks& clocks) {
     const Computation& comp = *result_.computation;
-    for (ProcessId p = 0; p < processes_; ++p) {
+    for (ProcessId p = 0; p < parsed_.processes; ++p) {
       std::vector<int> prev;
       for (int i = 0; i < comp.eventCount(p); ++i) {
         const EventId e{p, i};
@@ -474,7 +172,7 @@ class Linter {
         prev = v;
       }
     }
-    for (const RawMessage& m : messages_) {
+    for (const MessageLine& m : parsed_.messages) {
       const std::vector<int> send =
           clocks.clockVector({m.sendProcess, m.sendIndex});
       const std::vector<int> recv =
@@ -521,13 +219,13 @@ class Linter {
 
   // FIFO crossings per channel, multicast sends, aggregated receives.
   void checkChannelDiscipline() {
-    std::map<std::pair<int, int>, std::vector<const RawMessage*>> channels;
-    for (const RawMessage& m : messages_) {
+    std::map<std::pair<int, int>, std::vector<const MessageLine*>> channels;
+    for (const MessageLine& m : parsed_.messages) {
       channels[{m.sendProcess, m.receiveProcess}].push_back(&m);
     }
     for (auto& [channel, msgs] : channels) {
       std::sort(msgs.begin(), msgs.end(),
-                [](const RawMessage* a, const RawMessage* b) {
+                [](const MessageLine* a, const MessageLine* b) {
                   return std::tie(a->sendIndex, a->receiveIndex) <
                          std::tie(b->sendIndex, b->receiveIndex);
                 });
@@ -561,9 +259,9 @@ class Linter {
       }
     }
 
-    std::map<std::pair<int, int>, std::vector<const RawMessage*>> bySend;
-    std::map<std::pair<int, int>, std::vector<const RawMessage*>> byReceive;
-    for (const RawMessage& m : messages_) {
+    std::map<std::pair<int, int>, std::vector<const MessageLine*>> bySend;
+    std::map<std::pair<int, int>, std::vector<const MessageLine*>> byReceive;
+    for (const MessageLine& m : parsed_.messages) {
       bySend[{m.sendProcess, m.sendIndex}].push_back(&m);
       byReceive[{m.receiveProcess, m.receiveIndex}].push_back(&m);
     }
@@ -594,8 +292,8 @@ class Linter {
   // Vector-clock race detection: two processes updating the same predicate
   // variable at concurrent events. One warning per (variable, process pair).
   void checkRaces(const VectorClocks& clocks) {
-    std::map<std::string, std::vector<const RawVariable*>> byName;
-    for (const RawVariable& v : variables_) {
+    std::map<std::string, std::vector<const VariableLine*>> byName;
+    for (const VariableLine& v : parsed_.variables) {
       byName[v.name].push_back(&v);
     }
     long long budget = 1LL << 20;  // pairwise clock comparisons
@@ -647,15 +345,9 @@ class Linter {
   LintOptions opts_;
   LintResult result_;
 
-  int lineNumber_ = 0;
-  int processes_ = 0;
-  std::vector<int> counts_;
+  io::ParsedTrace parsed_;
   std::vector<int> offsets_;
   int totalEvents_ = 0;
-  std::vector<RawMessage> messages_;
-  std::vector<RawVariable> variables_;
-  std::set<std::tuple<int, int, int, int>> messagesSeen_;
-  std::set<std::pair<ProcessId, std::string>> varsSeen_;
 };
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Static trace linter (`gpdtool lint`).
 //
-// Where io::readTrace rejects a hostile stream at the *first* problem with
-// an InputError, the linter parses leniently, recovers per line, and
-// reports *every* finding as a Diagnostic — then, when the structure was
-// sound, goes on to semantic checks the strict reader never attempts:
+// The structural pass is io::parseTrace, the one gpd-trace parser; where
+// io::readTrace's sink throws at the first fault, the linter's records
+// each fault as a Diagnostic and parsing resumes at the next line. When the
+// structure was sound the linter goes on to semantic checks the strict
+// reader never attempts:
 //
 //   structure   E101–E108  header/keyword/range/duplicate/truncation faults
+//                          (io::TraceFault codes and messages)
 //   causality   E201       happened-before cycle (with the message line on
 //                          the cycle), E202/E203 vector-clock inconsistency
 //                          against the message graph (clock axioms plus a
@@ -15,10 +17,12 @@
 //   races       W401       vector-clock race detection: concurrent updates
 //                          to the same predicate variable on two processes
 //
-// Contract with the strict reader (property-tested over the fuzz corpus):
-// the linter reports at least one *error* exactly when io::readTrace throws
-// InputError, so `gpdtool lint` exits 1 on precisely the traces the rest of
-// the toolchain refuses to load. Warnings never fail the lint.
+// Contract with the strict reader: the linter reports at least one *error*
+// exactly when io::readTrace throws InputError, so `gpdtool lint` exits 1
+// on precisely the traces the rest of the toolchain refuses to load. It
+// holds by construction (one parser, two sinks; a cycle is E201 here and
+// InputError there); the LintFuzz suite keeps it as a regression test.
+// Warnings never fail the lint.
 #pragma once
 
 #include <iosfwd>

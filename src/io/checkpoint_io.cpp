@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "io/token_reader.h"
 #include "util/check.h"
 
 namespace gpd::io {
@@ -25,55 +26,15 @@ void writeClock(std::ostream& os, const char* keyword,
   os << '\n';
 }
 
-class Reader {
- public:
-  explicit Reader(std::istream& is) : is_(is) {}
-
-  std::string word(const char* what) {
-    std::string w;
-    GPD_INPUT_CHECK(static_cast<bool>(is_ >> w),
-                    "checkpoint truncated while reading " << what);
-    return w;
-  }
-
-  void keyword(const char* expected) {
-    const std::string w = word(expected);
-    GPD_INPUT_CHECK(w == expected, "checkpoint: expected '" << expected
-                                                            << "', got '" << w
-                                                            << "'");
-  }
-
-  long long integer(const char* what, long long lo, long long hi) {
-    long long v = 0;
-    GPD_INPUT_CHECK(static_cast<bool>(is_ >> v),
-                    "checkpoint: malformed integer in " << what);
-    GPD_INPUT_CHECK(v >= lo && v <= hi,
-                    "checkpoint: " << what << " value " << v
-                                   << " out of range [" << lo << ", " << hi
-                                   << "]");
-    return v;
-  }
-
-  std::uint64_t counter(const char* what) {
-    std::uint64_t v = 0;
-    GPD_INPUT_CHECK(static_cast<bool>(is_ >> v),
-                    "checkpoint: malformed counter in " << what);
-    return v;
-  }
-
-  std::vector<int> clock(const char* keywordName, int n) {
-    keyword(keywordName);
-    std::vector<int> v(n);
-    for (int& x : v) {
-      x = static_cast<int>(integer(keywordName, std::numeric_limits<int>::min(),
+std::vector<int> readClock(TokenReader& r, const char* keywordName, int n) {
+  r.keyword(keywordName);
+  std::vector<int> v(n);
+  for (int& x : v) {
+    x = static_cast<int>(r.integer(keywordName, std::numeric_limits<int>::min(),
                                    std::numeric_limits<int>::max()));
-    }
-    return v;
   }
-
- private:
-  std::istream& is_;
-};
+  return v;
+}
 
 }  // namespace
 
@@ -144,7 +105,7 @@ void writeCheckpoint(std::ostream& os, const monitor::SessionSnapshot& snap) {
 }
 
 monitor::SessionSnapshot readCheckpoint(std::istream& is) {
-  Reader r(is);
+  TokenReader r(is, "checkpoint");
   GPD_INPUT_CHECK(r.word("magic") == kMagic, "not a gpd-checkpoint stream");
   const long long version = r.integer("version", 0, 1 << 20);
   GPD_INPUT_CHECK(version == kVersion,
@@ -201,7 +162,7 @@ monitor::SessionSnapshot readCheckpoint(std::istream& is) {
   snap.monitor.enqueued = r.counter("monitor");
   snap.monitor.overflowDropped = r.counter("monitor");
   snap.monitor.overflowRejected = r.counter("monitor");
-  snap.monitor.lastOwn = r.clock("lastown", n);
+  snap.monitor.lastOwn = readClock(r, "lastown", n);
 
   snap.monitor.queues.resize(n);
   for (int p = 0; p < n; ++p) {
@@ -211,7 +172,7 @@ monitor::SessionSnapshot readCheckpoint(std::istream& is) {
     const long long len = r.integer("queue length", 0, kMaxQueueLen);
     snap.monitor.queues[p].reserve(static_cast<std::size_t>(len));
     for (long long i = 0; i < len; ++i) {
-      snap.monitor.queues[p].push_back(r.clock("clock", n));
+      snap.monitor.queues[p].push_back(readClock(r, "clock", n));
     }
   }
   snap.buffers.resize(n);
@@ -234,7 +195,7 @@ monitor::SessionSnapshot readCheckpoint(std::istream& is) {
   if (snap.monitor.detected) {
     snap.monitor.witness.reserve(n);
     for (int p = 0; p < n; ++p) {
-      snap.monitor.witness.push_back(r.clock("witness", n));
+      snap.monitor.witness.push_back(readClock(r, "witness", n));
     }
   }
   std::string trailer = r.word("end");

@@ -18,9 +18,13 @@
 //   ...
 //   end
 //
-// Loading validates structure (throwing gpd::InputError on malformed data)
-// and defers semantic validation (program order, buffer ordering) to
-// MonitorSession::restore.
+// Loading reads tokens through io::TokenReader (token_reader.h), which
+// applies the one number rule (counters take no minus sign). It validates
+// structure, throwing gpd::InputError on malformed data, and defers
+// semantic validation (program order, buffer ordering) to
+// MonitorSession::restore. readCheckpoint consumes exactly through the
+// checkpoint's "end", so a gpdd manifest embeds checkpoints in its own
+// stream.
 #pragma once
 
 #include <iosfwd>

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "io/checkpoint_io.h"
+#include "io/token_reader.h"
 #include "obs/metrics.h"
 #include "service/frame.h"
 #include "util/check.h"
@@ -136,46 +137,6 @@ std::string errPayload(const char* code, std::string_view tenant,
   out.append(msg);
   return out;
 }
-
-// Whitespace-token reader for manifest headers (same style as
-// io/checkpoint_io's Reader; the embedded session checkpoints are parsed by
-// io::readCheckpoint itself, which consumes exactly through its "end").
-class ManifestReader {
- public:
-  explicit ManifestReader(std::istream& is) : is_(is) {}
-
-  std::string word(const char* what) {
-    std::string w;
-    GPD_INPUT_CHECK(static_cast<bool>(is_ >> w),
-                    "manifest truncated while reading " << what);
-    return w;
-  }
-
-  void keyword(const char* expected) {
-    const std::string w = word(expected);
-    GPD_INPUT_CHECK(w == expected, "manifest: expected '"
-                                       << expected << "', got '" << w << "'");
-  }
-
-  long long integer(const char* what, long long lo, long long hi) {
-    long long v = 0;
-    GPD_INPUT_CHECK(static_cast<bool>(is_ >> v),
-                    "manifest: malformed integer in " << what);
-    GPD_INPUT_CHECK(v >= lo && v <= hi, "manifest: " << what << " value " << v
-                                                     << " out of range");
-    return v;
-  }
-
-  std::uint64_t counter(const char* what) {
-    std::uint64_t v = 0;
-    GPD_INPUT_CHECK(static_cast<bool>(is_ >> v),
-                    "manifest: malformed counter in " << what);
-    return v;
-  }
-
- private:
-  std::istream& is_;
-};
 
 constexpr char kManifestMagic[] = "gpdd-manifest";
 constexpr int kManifestVersion = 2;
@@ -937,7 +898,7 @@ void Engine::writeManifestText(std::ostream& os, bool delta,
 }
 
 bool Engine::readManifestText(std::istream& is) {
-  ManifestReader r(is);
+  io::TokenReader r(is, "manifest");
   GPD_INPUT_CHECK(r.word("magic") == kManifestMagic,
                   "not a gpdd-manifest stream");
   const long long version = r.integer("version", 0, 1 << 20);

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "io/checkpoint_io.h"
+#include "io/token_reader.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -28,21 +29,20 @@ std::string slurpFile(const std::string& path) {
 // like a delta header (the caller decides whether that is corruption).
 bool peekDeltaParent(const std::string& text, std::uint64_t* parentEpoch) {
   std::istringstream is(text);
-  std::string magic;
-  long long version = 0;
-  std::string kindKw;
-  std::string kind;
-  std::string epochKw;
-  std::uint64_t epoch = 0;
-  std::string parentKw;
-  std::uint64_t parent = 0;
-  if (!(is >> magic >> version >> kindKw >> kind >> epochKw >> epoch)) {
+  io::TokenReader r(is, "manifest");
+  try {
+    r.word("magic");
+    r.integer("version", 0, 1 << 20);
+    r.keyword("kind");
+    if (r.word("manifest kind") != "delta") return false;
+    r.keyword("epoch");
+    r.counter("epoch");
+    r.keyword("parent");
+    *parentEpoch = r.counter("parent epoch");
+    return true;
+  } catch (const InputError&) {
     return false;
   }
-  if (kindKw != "kind" || kind != "delta" || epochKw != "epoch") return false;
-  if (!(is >> parentKw >> parent) || parentKw != "parent") return false;
-  *parentEpoch = parent;
-  return true;
 }
 
 // Every on-disk delta index for `fullPath`, by scanning its directory for

@@ -1,9 +1,11 @@
 #include "service/replica.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <utility>
 
+#include "io/token_reader.h"
 #include "service/frame.h"
 #include "util/check.h"
 
@@ -114,10 +116,10 @@ void ReplicationFollower::consume(const std::string& payload) {
 void ReplicationFollower::applyHelloRecord(const std::string& payload) {
   GPD_INPUT_CHECK(!helloSeen_, "replication: duplicate RHELLO");
   std::istringstream is(payload);
-  std::string kw;
-  int version = 0;
-  GPD_INPUT_CHECK(is >> kw >> version && kw == "RHELLO",
-                  "replication: malformed RHELLO");
+  io::TokenReader r(is, "replication");
+  r.keyword("RHELLO");
+  const long long version = r.integer(
+      "RHELLO version", 0, std::numeric_limits<int>::max());
   GPD_INPUT_CHECK(version == kReplicationVersion,
                   "replication: leader speaks version "
                       << version << ", this follower speaks "
@@ -131,18 +133,20 @@ void ReplicationFollower::applySnapshotRecord(const std::string& payload) {
   std::string body;
   const std::string head = headerLineOf(payload, &body);
   std::istringstream is(head);
-  std::string kw;
-  GPD_INPUT_CHECK(is >> kw, "replication: empty snapshot record");
+  io::TokenReader r(is, "replication");
+  const std::string kw = r.word("snapshot record");
   if (kw == "RSNAP") {
-    GPD_INPUT_CHECK(is >> snapEpoch_ >> snapChecksum_ >> snapChunks_,
-                    "replication: malformed RSNAP");
+    snapEpoch_ = r.counter("RSNAP epoch");
+    snapChecksum_ = static_cast<std::uint32_t>(
+        r.counter("RSNAP checksum", std::numeric_limits<std::uint32_t>::max()));
+    snapChunks_ = r.counter("RSNAP chunk count");
     snapChunksSeen_ = 0;
     snapText_.clear();
     if (snapChunks_ > 0) return;  // body arrives in RCHUNK records
   } else {
     GPD_INPUT_CHECK(kw == "RCHUNK", "replication: malformed snapshot record");
-    std::size_t index = 0;
-    GPD_INPUT_CHECK(is >> index && index == snapChunksSeen_,
+    const std::uint64_t index = r.counter("RCHUNK index");
+    GPD_INPUT_CHECK(index == snapChunksSeen_,
                     "replication: RCHUNK out of order (got "
                         << index << ", want " << snapChunksSeen_ << ")");
     snapText_ += body;
@@ -175,12 +179,12 @@ void ReplicationFollower::applyPumpRecord(const std::string& payload) {
   std::string body;
   const std::string head = headerLineOf(payload, &body);
   std::istringstream is(head);
-  std::string kw;
-  GPD_INPUT_CHECK(is >> kw, "replication: empty pump record");
+  io::TokenReader r(is, "replication");
+  const std::string kw = r.word("pump record");
   if (kw == "RPUMP") {
     GPD_INPUT_CHECK(!pumpOpen_, "replication: RPUMP inside an open block");
-    GPD_INPUT_CHECK(is >> pumpIndex_ >> pumpCmdsExpected_,
-                    "replication: malformed RPUMP");
+    pumpIndex_ = r.counter("RPUMP pump");
+    pumpCmdsExpected_ = r.counter("RPUMP command count");
     GPD_INPUT_CHECK(pumpIndex_ == engine_->stats().pumps,
                     "replication: pump gap (leader at "
                         << pumpIndex_ << ", follower at "
@@ -192,8 +196,9 @@ void ReplicationFollower::applyPumpRecord(const std::string& payload) {
   }
   GPD_INPUT_CHECK(kw == "RCMD", "replication: malformed pump record");
   GPD_INPUT_CHECK(pumpOpen_, "replication: RCMD outside a pump block");
-  int origin = 0;
-  GPD_INPUT_CHECK(is >> origin, "replication: malformed RCMD");
+  const int origin = static_cast<int>(
+      r.integer("RCMD origin", std::numeric_limits<int>::min(),
+                std::numeric_limits<int>::max()));
   pumpCmds_.push_back({origin, std::move(body)});
   if (pumpCmds_.size() == pumpCmdsExpected_) finishPumpBlock();
 }
@@ -216,14 +221,15 @@ void ReplicationFollower::applyCkptRecord(const std::string& payload) {
   GPD_INPUT_CHECK(snapshotLoaded_ && !pumpOpen_,
                   "replication: RCKPT outside a pump boundary");
   std::istringstream is(payload);
-  std::string kw;
-  std::uint64_t pump = 0;
-  std::string kind;
-  std::uint64_t epoch = 0;
-  std::uint32_t checksum = 0;
-  GPD_INPUT_CHECK(is >> kw >> pump >> kind >> epoch >> checksum &&
-                      kw == "RCKPT" && (kind == "full" || kind == "delta"),
+  io::TokenReader r(is, "replication");
+  r.keyword("RCKPT");
+  const std::uint64_t pump = r.counter("RCKPT pump");
+  const std::string kind = r.word("RCKPT kind");
+  GPD_INPUT_CHECK(kind == "full" || kind == "delta",
                   "replication: malformed RCKPT");
+  const std::uint64_t epoch = r.counter("RCKPT epoch");
+  const auto checksum = static_cast<std::uint32_t>(
+      r.counter("RCKPT checksum", std::numeric_limits<std::uint32_t>::max()));
   GPD_INPUT_CHECK(pump == engine_->stats().pumps,
                   "replication: RCKPT pump mismatch");
   const CheckpointCapture cap = engine_->captureCheckpoint(kind == "delta");
@@ -239,10 +245,9 @@ void ReplicationFollower::applyCkptRecord(const std::string& payload) {
 void ReplicationFollower::applyFlushRecord(const std::string& payload) {
   GPD_INPUT_CHECK(snapshotLoaded_, "replication: RFLUSH before snapshot");
   std::istringstream is(payload);
-  std::string kw;
-  std::uint64_t pump = 0;
-  GPD_INPUT_CHECK(is >> kw >> pump && kw == "RFLUSH",
-                  "replication: malformed RFLUSH");
+  io::TokenReader r(is, "replication");
+  r.keyword("RFLUSH");
+  const std::uint64_t pump = r.counter("RFLUSH pump");
   retained_.erase(
       std::remove_if(retained_.begin(), retained_.end(),
                      [pump](const RetainedResponse& r) {

@@ -134,12 +134,16 @@ TEST(CheckpointIoTest, RejectsOutOfRangeHealth) {
 }
 
 TEST(CheckpointIoTest, RejectsNonNumericCounter) {
-  std::string text = serialized();
-  const auto pos = text.find("now ");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 5, "now x");
-  std::istringstream is(text);
-  EXPECT_THROW(readCheckpoint(is), InputError);
+  // "now -1" is the unsigned-field case: `istream >> uint64_t` would have
+  // read it as 2^64 - 1.
+  for (const char* bad : {"now x", "now -1"}) {
+    std::string text = serialized();
+    const auto pos = text.find("now ");
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, 5, bad);
+    std::istringstream is(text);
+    EXPECT_THROW(readCheckpoint(is), InputError) << bad;
+  }
 }
 
 TEST(CheckpointIoTest, RejectsHostileProcessCount) {

@@ -107,6 +107,11 @@ TEST_F(CliExitTest, BadInputExitsOne) {
   // Budget values must be positive integers.
   EXPECT_EQ(runTool("detect " + tracePath() + " conj --max-cuts 0 0:b"), 1);
   EXPECT_EQ(runTool("detect " + tracePath() + " conj --budget-ms x 0:b"), 1);
+  // Numbers are range-checked before they are narrowed: process 2^32 is not
+  // process 0, and exactly:99 of 5 variables is bad input, not a failed
+  // invariant.
+  EXPECT_EQ(runTool("detect " + tracePath() + " conj 4294967296:b"), 1);
+  EXPECT_EQ(runTool("detect " + tracePath() + " sym exactly:99 x"), 1);
 }
 
 // Sums whose arithmetic would overflow int64 are bad input (exit 1), not a
@@ -178,6 +183,8 @@ TEST(GpddExitTest, BadFlagsExitOne) {
   EXPECT_EQ(runServer("--frobnicate"), 1);
   EXPECT_EQ(runServer("--threads"), 1);            // missing value
   EXPECT_EQ(runServer("--shards zero"), 1);        // not an integer
+  EXPECT_EQ(runServer("--max-sessions -1"), 1);    // negative count
+  EXPECT_EQ(runServer("--idle-pumps -5"), 1);      // negative count
   EXPECT_EQ(runServer("--recover"), 1);            // needs --checkpoint
   EXPECT_EQ(runServer("--checkpoint-every 5"), 1); // needs --checkpoint
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "computation/random.h"
 #include "predicates/random_trace.h"
@@ -75,6 +77,48 @@ TEST(TraceIoTest, RejectsUnknownKeyword) {
   std::stringstream buffer(
       "gpd-trace 1\nprocesses 1\nevents 1\nbogus 1 2 3\nend\n");
   EXPECT_THROW(readTrace(buffer), InputError);
+}
+
+// readTrace raises the parser's first fault, prefixed with its line.
+TEST(TraceIoTest, FaultsAreLineNumbered) {
+  const auto faultOf = [](const std::string& text) -> std::string {
+    std::istringstream is(text);
+    try {
+      (void)readTrace(is);
+    } catch (const InputError& e) {
+      return e.what();
+    }
+    return "<accepted>";
+  };
+  EXPECT_EQ(faultOf("gpd-trace 1\nprocesses 2\nevents 2 2\n"
+                    "message 0 1 1 1 7\nmessage 0 9 1 1\nend\n"),
+            "line 4: unexpected trailing '7'");
+  EXPECT_EQ(faultOf("gpd-trace 1\nprocesses 2\nevents 2 2\n"
+                    "var 0 x 0 -\nend\n"),
+            "line 4: '-' is not an integer (var value)");
+  EXPECT_EQ(faultOf("gpd-trace 1\nprocesses 2\nevents 2 2\n\n"),
+            "line 4: truncated trace: missing 'end'");
+  EXPECT_EQ(faultOf(""), "line 1: truncated trace: missing header");
+}
+
+// The recovering sink sees every faulty line, not only the first.
+TEST(TraceIoTest, ParseTraceReportsEveryFaultToItsSink) {
+  std::istringstream is(
+      "gpd-trace 1\nprocesses 2\nevents 2 2\n"
+      "message 9 1 1 1\nmessage 0 1 1 1\nvar 0 x 0\nend\n");
+  std::vector<TraceFault> faults;
+  const ParsedTrace parsed =
+      parseTrace(is, [&](const TraceFault& f) { faults.push_back(f); });
+  ASSERT_EQ(faults.size(), 2u);
+  EXPECT_STREQ(faults[0].code, "E105");
+  EXPECT_EQ(faults[0].line, 4);
+  EXPECT_EQ(faults[0].message, "send process 9 out of range [0, 1]");
+  EXPECT_STREQ(faults[1].code, "E106");
+  EXPECT_EQ(faults[1].line, 6);
+  EXPECT_EQ(faults[1].message, "missing var value");
+  ASSERT_EQ(parsed.messages.size(), 1u);
+  EXPECT_EQ(parsed.messages[0].line, 5);
+  EXPECT_TRUE(parsed.variables.empty());
 }
 
 TEST(TraceIoTest, RejectsCyclicMessages) {

@@ -379,6 +379,17 @@ TEST(ReplicationProperty, FollowerRefusesPumpGap) {
   EXPECT_THROW(follower.consume("RPUMP 3 0"), InputError);
 }
 
+// A negative command count is malformed. Read as an unsigned 2^64 - 1 it
+// would keep the pump block open forever and swallow every later RCMD.
+TEST(ReplicationProperty, FollowerRefusesNegativeCommandCount) {
+  EngineOptions opt;
+  Engine leader(opt);
+  Engine control(opt);
+  ReplicationFollower follower(opt);
+  attach(leader, control, follower);
+  EXPECT_THROW(follower.consume("RPUMP 0 -1"), InputError);
+}
+
 TEST(ReplicationProperty, SnapshotChunkingRoundTrips) {
   EngineOptions opt;
   Engine leader(opt);

@@ -342,6 +342,19 @@ TEST(Engine, CorruptManifestsThrowInputError) {
   EXPECT_THROW(restore(whole.substr(0, whole.size() / 2)), gpd::InputError);
 }
 
+// An unsigned header field takes no minus sign: `istream >> uint64_t` would
+// read "epoch -1" as epoch 2^64 - 1 and restore it.
+TEST(Engine, NegativeManifestEpochThrowsInputError) {
+  Engine eng;
+  pumpAll(eng, {"OPEN t0 s0 2"});
+  std::string text = eng.captureCheckpoint(false).text;
+  const std::size_t at = text.find("\nepoch ");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = text.find('\n', at + 1);
+  text.replace(at, end - at, "\nepoch -1");
+  EXPECT_THROW(Engine::restoreManifestText(text, {}), gpd::InputError);
+}
+
 TEST(Engine, DeltaCaptureRestoresByteIdentically) {
   EngineOptions opt;
   opt.sessionMaxCombinations = 100;

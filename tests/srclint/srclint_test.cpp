@@ -74,6 +74,7 @@ const CheckFixture kCheckFixtures[] = {
     {"gpd-pool-capture", "pool_bad.cpp", "pool_good.cpp"},
     {"gpd-checkpoint-symmetry", "ckpt_bad.cpp", "ckpt_good.cpp"},
     {"gpd-checkpoint-symmetry", "ckpt_apply_bad.cpp", "ckpt_apply_good.cpp"},
+    {"gpd-checkpoint-symmetry", "ckpt_parse_bad.cpp", "ckpt_parse_good.cpp"},
     {"gpd-log-discipline", "src/service/log_bad.cpp",
      "src/service/log_good.cpp"},
 };

@@ -97,6 +97,7 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -114,6 +115,7 @@
 #include "service/manifest_log.h"
 #include "service/replica.h"
 #include "util/check.h"
+#include "util/number.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "version.h"
@@ -162,18 +164,7 @@ int usage() {
   return 1;
 }
 
-long long parseInt(const std::string& word, const char* what) {
-  std::size_t used = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(word, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  GPD_INPUT_CHECK(used == word.size() && !word.empty(),
-                  "'" << word << "' is not an integer (" << what << ")");
-  return v;
-}
+constexpr long long kNoMax = std::numeric_limits<long long>::max();
 
 struct Options {
   std::string socketPath;
@@ -203,64 +194,46 @@ Options parseFlags(const std::vector<std::string>& args) {
                                               << "' needs a value");
     return args[i];
   };
+  // The value after flag args[i - 1], under the number rule.
+  auto number = [&](std::size_t i, long long lo, long long hi = kNoMax) {
+    return integerIn(need(i), args[i - 1].c_str(), lo, hi);
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--socket") {
       o.socketPath = need(++i);
     } else if (a == "--shards") {
-      o.engine.shards = static_cast<int>(parseInt(need(++i), "--shards"));
-      GPD_INPUT_CHECK(o.engine.shards >= 1 && o.engine.shards <= 1024,
-                      "--shards out of range");
+      o.engine.shards = static_cast<int>(number(++i, 1, 1024));
     } else if (a == "--threads") {
-      o.threads = static_cast<int>(parseInt(need(++i), "--threads"));
-      GPD_INPUT_CHECK(o.threads >= 0 && o.threads <= 1024,
-                      "--threads out of range");
+      o.threads = static_cast<int>(number(++i, 0, 1024));
     } else if (a == "--max-sessions") {
-      o.engine.maxSessions =
-          static_cast<std::size_t>(parseInt(need(++i), "--max-sessions"));
+      o.engine.maxSessions = number(++i, 0);
     } else if (a == "--max-per-tenant") {
-      o.engine.maxSessionsPerTenant =
-          static_cast<std::size_t>(parseInt(need(++i), "--max-per-tenant"));
+      o.engine.maxSessionsPerTenant = number(++i, 0);
     } else if (a == "--rate-bytes") {
-      o.engine.tenantRateBytesPerPump =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--rate-bytes"));
+      o.engine.tenantRateBytesPerPump = number(++i, 0);
     } else if (a == "--mem-watermark") {
-      o.engine.memWatermarkBytes =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--mem-watermark"));
+      o.engine.memWatermarkBytes = number(++i, 0);
     } else if (a == "--idle-pumps") {
-      o.engine.idleTimeoutPumps =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--idle-pumps"));
+      o.engine.idleTimeoutPumps = number(++i, 0);
     } else if (a == "--max-combinations") {
-      o.engine.sessionMaxCombinations = static_cast<std::uint64_t>(
-          parseInt(need(++i), "--max-combinations"));
+      o.engine.sessionMaxCombinations = number(++i, 0);
     } else if (a == "--budget-ms") {
-      o.engine.sessionBudgetMs =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--budget-ms"));
+      o.engine.sessionBudgetMs = number(++i, 0);
     } else if (a == "--window") {
-      o.engine.session.reorderWindow =
-          static_cast<std::size_t>(parseInt(need(++i), "--window"));
-      GPD_INPUT_CHECK(o.engine.session.reorderWindow >= 1,
-                      "--window must be >= 1");
+      o.engine.session.reorderWindow = number(++i, 1);
     } else if (a == "--retries") {
-      o.engine.session.maxRetries =
-          static_cast<int>(parseInt(need(++i), "--retries"));
-      GPD_INPUT_CHECK(o.engine.session.maxRetries >= 1,
-                      "--retries must be >= 1");
+      o.engine.session.maxRetries = static_cast<int>(
+          number(++i, 1, std::numeric_limits<int>::max()));
     } else if (a == "--timeout") {
-      o.engine.session.retryTimeout =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--timeout"));
-      GPD_INPUT_CHECK(o.engine.session.retryTimeout >= 1,
-                      "--timeout must be >= 1");
+      o.engine.session.retryTimeout = number(++i, 1);
     } else if (a == "--queue-limit") {
-      o.engine.session.monitor.maxQueuePerProcess =
-          static_cast<std::size_t>(parseInt(need(++i), "--queue-limit"));
+      o.engine.session.monitor.maxQueuePerProcess = number(++i, 0);
     } else if (a == "--degrade-on-overflow") {
       o.engine.session.monitor.overflowPolicy =
           monitor::OverflowPolicy::Degrade;
     } else if (a == "--max-comparisons-per-report") {
-      o.engine.session.monitor.maxComparisonsPerReport =
-          static_cast<std::uint64_t>(
-              parseInt(need(++i), "--max-comparisons-per-report"));
+      o.engine.session.monitor.maxComparisonsPerReport = number(++i, 0);
     } else if (a == "--slice") {
       // Every session maintains the online slice (monitor/slice.h); the
       // aggregates surface as slice_* STATS keys and gpdd_slice_* gauges.
@@ -268,14 +241,9 @@ Options parseFlags(const std::vector<std::string>& args) {
     } else if (a == "--checkpoint") {
       o.checkpointPath = need(++i);
     } else if (a == "--checkpoint-every") {
-      o.checkpointEvery = static_cast<std::uint64_t>(
-          parseInt(need(++i), "--checkpoint-every"));
-      GPD_INPUT_CHECK(o.checkpointEvery >= 1,
-                      "--checkpoint-every must be >= 1");
+      o.checkpointEvery = number(++i, 1);
     } else if (a == "--full-every") {
-      o.fullEvery =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--full-every"));
-      GPD_INPUT_CHECK(o.fullEvery >= 1, "--full-every must be >= 1");
+      o.fullEvery = number(++i, 1);
     } else if (a == "--recover") {
       o.recover = true;
     } else if (a == "--replication-socket") {
@@ -283,31 +251,21 @@ Options parseFlags(const std::vector<std::string>& args) {
     } else if (a == "--follow") {
       o.followPath = need(++i);
     } else if (a == "--failover-after-ms") {
-      o.failoverAfterMs = static_cast<std::uint64_t>(
-          parseInt(need(++i), "--failover-after-ms"));
-      GPD_INPUT_CHECK(o.failoverAfterMs >= 1,
-                      "--failover-after-ms must be >= 1");
+      o.failoverAfterMs = number(++i, 1);
     } else if (a == "--stats-dump") {
       o.statsDumpPath = need(++i);
     } else if (a == "--stats-every") {
-      o.statsEvery =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--stats-every"));
-      GPD_INPUT_CHECK(o.statsEvery >= 1, "--stats-every must be >= 1");
+      o.statsEvery = number(++i, 1);
     } else if (a == "--telemetry-file") {
       o.telemetryFile = need(++i);
     } else if (a == "--telemetry-socket") {
       o.telemetrySocket = need(++i);
     } else if (a == "--telemetry-every") {
-      o.telemetryEvery =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--telemetry-every"));
-      GPD_INPUT_CHECK(o.telemetryEvery >= 1, "--telemetry-every must be >= 1");
+      o.telemetryEvery = number(++i, 1);
     } else if (a == "--flight-recorder") {
       o.flightRecorderPath = need(++i);
     } else if (a == "--flight-slots") {
-      o.flightSlots =
-          static_cast<std::uint64_t>(parseInt(need(++i), "--flight-slots"));
-      GPD_INPUT_CHECK(o.flightSlots >= 1 && o.flightSlots <= (1u << 20),
-                      "--flight-slots out of range");
+      o.flightSlots = number(++i, 1, 1 << 20);
     } else if (a == "--log-level") {
       obs::log::setLevel(obs::log::parseLevel(need(++i)));
     } else if (a == "--log-json") {

@@ -58,6 +58,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -113,34 +114,7 @@ int usage() {
   return 1;
 }
 
-// Argument parsers that reject junk with InputError (exit code 1) instead of
-// surfacing std::invalid_argument as an internal failure.
-long long parseInt(const std::string& word, const char* what) {
-  std::size_t used = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(word, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  GPD_INPUT_CHECK(used == word.size() && !word.empty(),
-                  "'" << word << "' is not an integer (" << what << ")");
-  return v;
-}
-
-double parseProbability(const std::string& word, const char* what) {
-  std::size_t used = 0;
-  double v = 0;
-  try {
-    v = std::stod(word, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  GPD_INPUT_CHECK(used == word.size() && !word.empty() && v >= 0.0 && v <= 1.0,
-                  "'" << word << "' is not a probability in [0,1] (" << what
-                      << ")");
-  return v;
-}
+constexpr long long kNoMax = std::numeric_limits<long long>::max();
 
 int generate(const std::string& workload, const std::string& path,
              std::uint64_t seed) {
@@ -287,9 +261,7 @@ BudgetFlags extractBudgetFlags(std::vector<std::string>& args) {
     const auto value = [&](const char* what) {
       GPD_INPUT_CHECK(i + 1 < args.size(), args[i] << " needs a value ("
                                                    << what << ")");
-      const long long v = parseInt(args[++i], what);
-      GPD_INPUT_CHECK(v >= 1, what << " must be >= 1");
-      return static_cast<std::uint64_t>(v);
+      return static_cast<std::uint64_t>(integerIn(args[++i], what, 1, kNoMax));
     };
     if (args[i] == "--budget-ms") {
       flags.budgetMs = value("budget milliseconds");
@@ -317,10 +289,7 @@ int extractThreadsFlag(std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threads") {
       GPD_INPUT_CHECK(i + 1 < args.size(), "--threads needs a value");
-      const long long v = parseInt(args[++i], "thread count");
-      GPD_INPUT_CHECK(v >= 1 && v <= 4096,
-                      "thread count must be in [1, 4096]");
-      threads = static_cast<int>(v);
+      threads = static_cast<int>(integerIn(args[++i], "thread count", 1, 4096));
     } else {
       rest.push_back(args[i]);
     }
@@ -489,12 +458,12 @@ ConjunctivePredicate parseConjunctive(const io::TraceFile& file,
     const auto colon = term.find(':');
     GPD_INPUT_CHECK(colon != std::string::npos,
                     "term '" << term << "' is not of the form p:var");
-    const ProcessId p = static_cast<ProcessId>(
-        parseInt(term.substr(0, colon), "term process"));
-    GPD_INPUT_CHECK(p >= 0 && p < file.computation->processCount(),
-                    "term '" << term << "' names process " << p
+    const long long process = integerIn(term.substr(0, colon), "term process");
+    GPD_INPUT_CHECK(process >= 0 && process < file.computation->processCount(),
+                    "term '" << term << "' names process " << process
                              << " but the trace has "
                              << file.computation->processCount());
+    const auto p = static_cast<ProcessId>(process);
     std::string var = term.substr(colon + 1);
     const bool negated = !var.empty() && var[0] == '!';
     if (negated) var = var.substr(1);
@@ -546,8 +515,9 @@ BoolLiteral parseLiteral(const std::string& term) {
   GPD_INPUT_CHECK(colon != std::string::npos,
                   "literal '" << term << "' is not of the form p:var");
   BoolLiteral lit;
-  lit.process =
-      static_cast<ProcessId>(parseInt(term.substr(0, colon), "literal process"));
+  lit.process = static_cast<ProcessId>(integerIn(
+      term.substr(0, colon), "literal process", 0,
+      std::numeric_limits<ProcessId>::max()));
   lit.var = term.substr(colon + 1);
   lit.positive = true;
   if (!lit.var.empty() && lit.var[0] == '!') {
@@ -641,7 +611,7 @@ SumPredicate parseSumPredicate(const io::TraceFile& file,
                                const std::vector<std::string>& args) {
   SumPredicate pred;
   pred.relop = parseRelop(args[0]);
-  pred.k = parseInt(args[1], "sum bound K");
+  pred.k = integerIn(args[1], "sum bound K");
   for (ProcessId p = 0; p < file.computation->processCount(); ++p) {
     if (file.trace->has(p, args[2])) pred.terms.push_back({p, args[2]});
   }
@@ -686,7 +656,9 @@ SymmetricPredicate parseSymmetricPredicate(
   if (args[0] == "no-two-thirds") return absenceOfTwoThirdsMajority(vars);
   if (args[0] == "not-all-equal") return notAllEqual(vars);
   if (args[0].rfind("exactly:", 0) == 0) {
-    return exactlyK(vars, static_cast<int>(parseInt(args[0].substr(8), "k")));
+    return exactlyK(vars, static_cast<int>(integerIn(
+                              args[0].substr(8), "k", 0,
+                              static_cast<long long>(vars.size()))));
   }
   throw InputError("'" + args[0] +
                    "' is not a symmetric predicate kind (expected xor|"
@@ -846,43 +818,35 @@ int monitorCmd(const std::string& path, std::vector<std::string> args) {
       return args[++i];
     };
     if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(parseInt(flagValue("seed"), "seed"));
+      seed = integerIn(flagValue("seed"), "seed", 0, kNoMax);
     } else if (a == "--drop") {
-      faults.dropProbability = parseProbability(flagValue("probability"), a.c_str());
+      faults.dropProbability = probabilityIn(flagValue("probability"), a.c_str());
     } else if (a == "--dup") {
-      faults.duplicateProbability = parseProbability(flagValue("probability"), a.c_str());
+      faults.duplicateProbability = probabilityIn(flagValue("probability"), a.c_str());
     } else if (a == "--reorder") {
-      faults.reorderProbability = parseProbability(flagValue("probability"), a.c_str());
+      faults.reorderProbability = probabilityIn(flagValue("probability"), a.c_str());
     } else if (a == "--burst") {
-      faults.burstProbability = parseProbability(flagValue("probability"), a.c_str());
+      faults.burstProbability = probabilityIn(flagValue("probability"), a.c_str());
     } else if (a == "--retries") {
-      const long long v = parseInt(flagValue("count"), "retries");
-      GPD_INPUT_CHECK(v >= 1, "--retries must be >= 1");
-      sopt.maxRetries = static_cast<int>(v);
+      sopt.maxRetries = static_cast<int>(integerIn(
+          flagValue("count"), "--retries", 1, std::numeric_limits<int>::max()));
     } else if (a == "--timeout") {
-      const long long v = parseInt(flagValue("ticks"), "timeout");
-      GPD_INPUT_CHECK(v >= 1, "--timeout must be >= 1");
-      sopt.retryTimeout = static_cast<std::uint64_t>(v);
+      sopt.retryTimeout = integerIn(flagValue("ticks"), "--timeout", 1, kNoMax);
     } else if (a == "--window") {
-      const long long v = parseInt(flagValue("size"), "window");
-      GPD_INPUT_CHECK(v >= 1, "--window must be >= 1");
-      sopt.reorderWindow = static_cast<std::size_t>(v);
+      sopt.reorderWindow = integerIn(flagValue("size"), "--window", 1, kNoMax);
     } else if (a == "--queue-limit") {
-      const long long v = parseInt(flagValue("size"), "queue limit");
-      GPD_INPUT_CHECK(v >= 0, "--queue-limit must be >= 0");
-      sopt.monitor.maxQueuePerProcess = static_cast<std::size_t>(v);
+      sopt.monitor.maxQueuePerProcess =
+          integerIn(flagValue("size"), "--queue-limit", 0, kNoMax);
     } else if (a == "--max-comparisons-per-report") {
-      const long long v = parseInt(flagValue("comparisons"), "slice");
-      GPD_INPUT_CHECK(v >= 1, "--max-comparisons-per-report must be >= 1");
-      sopt.monitor.maxComparisonsPerReport = static_cast<std::uint64_t>(v);
+      sopt.monitor.maxComparisonsPerReport = integerIn(
+          flagValue("comparisons"), "--max-comparisons-per-report", 1, kNoMax);
     } else if (a == "--degrade-on-overflow") {
       sopt.monitor.overflowPolicy = monitor::OverflowPolicy::Degrade;
     } else if (a == "--checkpoint") {
       checkpointPath = flagValue("file");
     } else if (a == "--checkpoint-every") {
-      const long long v = parseInt(flagValue("deliveries"), "cadence");
-      GPD_INPUT_CHECK(v >= 1, "--checkpoint-every must be >= 1");
-      checkpointEvery = static_cast<std::uint64_t>(v);
+      checkpointEvery =
+          integerIn(flagValue("deliveries"), "--checkpoint-every", 1, kNoMax);
     } else {
       GPD_INPUT_CHECK(a.empty() || a[0] != '-',
                       "unknown monitor flag '" << a << "'");
@@ -1142,9 +1106,7 @@ int main(int argc, char** argv) {
     if (cmd == "generate") {
       if (args.size() < 3) return usage();
       const std::uint64_t seed =
-          args.size() > 3
-              ? static_cast<std::uint64_t>(parseInt(args[3], "seed"))
-              : 1;
+          args.size() > 3 ? integerIn(args[3], "seed", 0, kNoMax) : 1;
       return generate(args[1], args[2], seed);
     }
     if (cmd == "monitor") {

@@ -436,10 +436,12 @@ std::vector<KeyUse> keysIn(const FileModel& file, const TokRange& range) {
   return out;
 }
 
-// save*/write*/capture* functions pair with restore*/read*/load*/apply* of
-// the same suffix in the same file.
+// save*/write*/capture* functions pair with parse*/read*/restore*/load*/
+// apply* of the same suffix in the same file. A parse* function owns the
+// grammar when the format has one (its read* is then a wrapper that picks
+// a fault sink), so it is the reader checked.
 const FnDef* pairedReader(const FileModel& file, const std::string& suffix) {
-  for (const char* verb : {"read", "restore", "load", "apply"}) {
+  for (const char* verb : {"parse", "read", "restore", "load", "apply"}) {
     const std::string want = verb + suffix;
     for (const FnDef& fn : file.functions) {
       if (fn.name == want) return &fn;
