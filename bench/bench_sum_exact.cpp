@@ -6,6 +6,9 @@
 // shape: polynomial vs exponential, with identical verdicts.
 // E10: definitely(Σxᵢ = K) via Theorem 7(2) against the direct
 // lattice-definitely of the equality itself — verdicts must coincide.
+// A verdict disagreement, or an E8 Theorem 7 witness that is not a
+// consistent cut with S = K, aborts the run (GPD_CHECK), so CI runs this
+// bench as a smoke test.
 #include "bench_util.h"
 
 int main() {
@@ -34,6 +37,11 @@ int main() {
       std::optional<Cut> viaThm;
       const double thmMs = bench::timeMs(
           [&] { viaThm = detect::possiblySum(clocks, trace, pred); });
+      if (viaThm) {
+        GPD_CHECK_MSG(clocks.isConsistent(*viaThm) &&
+                          pred.sumAtCut(trace, *viaThm) == pred.k,
+                      "E8: Theorem 7 witness is not a consistent cut with S = K");
+      }
 
       std::string latticeMs = "-";
       std::string speedup = "-";
@@ -47,7 +55,9 @@ int main() {
         char buf[16];
         std::snprintf(buf, sizeof(buf), "%.0fx", lm / std::max(1e-6, thmMs));
         speedup = buf;
-        agree = viaThm.has_value() == viaLattice.has_value() ? "yes" : "NO";
+        GPD_CHECK_MSG(viaThm.has_value() == viaLattice.has_value(),
+                      "E8: Theorem 7 and the lattice disagree");
+        agree = "yes";
       }
       e8.row(procs, events, pred.k, bench::fmtMs(thmMs), latticeMs, speedup,
              agree);
@@ -81,11 +91,13 @@ int main() {
     const double directMs = bench::timeMs([&] {
       direct = lattice::decideDefinitely(clocks, pred.bind(trace)).holds;
     });
+    GPD_CHECK_MSG(viaThm == direct,
+                  "E10: Theorem 7(2) and lattice-definitely disagree");
     e10.row(3, events, pred.k, bench::fmtMs(thmMs), bench::fmtMs(directMs),
-            viaThm == direct ? "yes" : "NO");
+            "yes");
   }
   e10.print(std::cout);
   std::cout << "\nShape check: thm7_ms stays flat while lattice_ms explodes "
-               "with events/proc; all verdict columns must read yes.\n";
+               "with events/proc.\n";
   return 0;
 }

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 
-#include "util/check.h"
-
 namespace gpd {
 
 std::vector<int> lamportClocks(const Computation& c) {
   std::vector<int> clock(c.totalEvents(), 0);
-  const graph::Dag dag = c.toDagWithoutInitialEdges();
-  const auto order = dag.topologicalOrder();
-  GPD_CHECK(order.has_value());
-  for (int node : *order) {
+  for (int node : c.topologicalOrder()) {
     const EventId e = c.event(node);
     if (e.isInitial()) continue;
     int best = clock[c.node({e.process, e.index - 1})];

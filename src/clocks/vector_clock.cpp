@@ -10,11 +10,8 @@ VectorClocks::VectorClocks(const Computation& c)
     : comp_(&c), n_(c.processCount()) {
   clocks_.assign(static_cast<std::size_t>(c.totalEvents()) * n_, 0);
   // The initial-precedence edges never raise any coordinate above 0, so the
-  // happened-before DAG suffices.
-  const graph::Dag dag = c.toDagWithoutInitialEdges();
-  const auto order = dag.topologicalOrder();
-  GPD_CHECK(order.has_value());
-  for (int node : *order) {
+  // happened-before order suffices.
+  for (int node : c.topologicalOrder()) {
     const EventId e = c.event(node);
     int* row = &clocks_[static_cast<std::size_t>(node) * n_];
     if (e.index > 0) {

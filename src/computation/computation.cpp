@@ -90,7 +90,33 @@ Computation ComputationBuilder::build() && {
     c.outgoing_[c.node(c.messages_[m].send)].push_back(static_cast<int>(m));
     c.incoming_[c.node(c.messages_[m].receive)].push_back(static_cast<int>(m));
   }
-  GPD_CHECK_MSG(c.toDagWithoutInitialEdges().isAcyclic(),
+  // Kahn's algorithm over the process edges and outgoing_, in the order
+  // graph::Dag::topologicalOrder visits toDagWithoutInitialEdges(). Only the
+  // initial events start without a predecessor.
+  std::vector<int> indegree(total);
+  for (int node = 0; node < total; ++node) {
+    indegree[node] = static_cast<int>(c.incoming_[node].size()) + 1;
+  }
+  std::vector<EventId> ready;
+  for (ProcessId p = 0; p < c.processCount(); ++p) {
+    indegree[c.offsets_[p]] = 0;
+    ready.push_back({p, 0});
+  }
+  c.topological_.reserve(total);
+  while (!ready.empty()) {
+    const EventId e = ready.back();
+    ready.pop_back();
+    const int node = c.node(e);
+    c.topological_.push_back(node);
+    if (e.index + 1 < c.eventCount(e.process) && --indegree[node + 1] == 0) {
+      ready.push_back({e.process, e.index + 1});
+    }
+    for (int m : c.outgoing_[node]) {
+      const EventId r = c.messages_[m].receive;
+      if (--indegree[c.node(r)] == 0) ready.push_back(r);
+    }
+  }
+  GPD_CHECK_MSG(static_cast<int>(c.topological_.size()) == total,
                 "message edges create a causal cycle");
   return c;
 }

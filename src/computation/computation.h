@@ -51,10 +51,18 @@ class Computation {
   graph::Dag toDag() const;
 
   // As above but *without* the initial-precedence edges: exactly the
-  // happened-before edges induced by process order and messages. Vector
-  // clocks are computed on this graph (the initial edges add nothing since
-  // every cut contains every initial event).
+  // happened-before edges induced by process order and messages.
   graph::Dag toDagWithoutInitialEdges() const;
+
+  // A topological order of the nodes under happened-before, computed once by
+  // the builder's acyclicity check. It is exactly
+  // toDagWithoutInitialEdges().topologicalOrder(): Kahn's algorithm with a
+  // LIFO ready stack, seeded with the initial events in node order, where a
+  // node releases its process successor first and then its messages'
+  // receives in message-index order. The clocks and the Theorem 4 walk run
+  // in this order (the initial edges add nothing to either, since every cut
+  // contains every initial event).
+  const std::vector<int>& topologicalOrder() const { return topological_; }
 
  private:
   friend class ComputationBuilder;
@@ -66,6 +74,7 @@ class Computation {
   std::vector<Message> messages_;
   std::vector<std::vector<int>> incoming_;  // per node: message indices
   std::vector<std::vector<int>> outgoing_;
+  std::vector<int> topological_;
 };
 
 class ComputationBuilder {
@@ -80,7 +89,9 @@ class ComputationBuilder {
   // must already exist and be non-initial, on distinct processes.
   void addMessage(EventId send, EventId receive);
 
-  // Validates acyclicity of the resulting order and returns the computation.
+  // Validates acyclicity of the resulting order (CheckFailure "message edges
+  // create a causal cycle" otherwise), records its topological order and
+  // returns the computation.
   Computation build() &&;
 
  private:

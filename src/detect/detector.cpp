@@ -74,9 +74,8 @@ StepRun latticeDefinitely(lattice::DefinitelyDecision d) {
 // S = K when K lies outside [min S, max S], and each bound costs one
 // closure (Sec. 4.2) against the NP-complete search (Theorem 2). Solves the
 // max side first and the min side only when K ≤ max S.
-bool outsideSumRange(const EventOrder& order, const VariableTrace& trace,
-                     const SumPredicate& pred) {
-  SumRange range(order, trace, pred.terms);
+bool outsideSumRange(const VariableTrace& trace, const SumPredicate& pred) {
+  SumRange range(trace.computation(), trace, pred.terms);
   if (pred.k <= range.max().sum && pred.k >= range.min().sum) return false;
   GPD_OBS_COUNTER_ADD("sum_range_precheck_decided", 1);
   return true;
@@ -85,10 +84,9 @@ bool outsideSumRange(const EventOrder& order, const VariableTrace& trace,
 // A run from ⊥ to ⊤ that executes the events in topological order: the
 // avoiding run of a definitely(S = K) the range test refuted, since no cut
 // on any run has S = K.
-std::vector<Cut> topologicalRun(const EventOrder& order) {
-  const Computation& comp = *order.comp;
+std::vector<Cut> topologicalRun(const Computation& comp) {
   std::vector<Cut> run{initialCut(comp)};
-  for (const int node : order.topological) {
+  for (const int node : comp.topologicalOrder()) {
     const EventId e = comp.event(node);
     if (e.isInitial()) continue;
     run.push_back(run.back());
@@ -429,11 +427,6 @@ void Detector::adopt(analyze::AnalysisReport report) {
   lastSlice_.reset();
 }
 
-const EventOrder& Detector::eventOrder() {
-  if (!eventOrder_) eventOrder_.emplace(trace_->computation());
-  return *eventOrder_;
-}
-
 std::optional<Cut> Detector::possibly(const ConjunctivePredicate& pred) {
   control::Budget unlimited;
   return completeWitness(possibly(pred, unlimited));
@@ -588,10 +581,10 @@ Detection Detector::possibly(const SumPredicate& pred,
         switch (step.algorithm) {
           case analyze::Algorithm::MinCutExtrema:
           case analyze::Algorithm::Theorem7ExactSum:
-            return exactPossibly(possiblySum(eventOrder(), *trace_, pred));
+            return exactPossibly(possiblySum(clocks_, *trace_, pred));
           case analyze::Algorithm::LatticeEnumeration: {
             if (pred.relop == Relop::Equal &&
-                outsideSumRange(eventOrder(), *trace_, pred)) {
+                outsideSumRange(*trace_, pred)) {
               return exactRun(Outcome::No);
             }
             const lattice::CutSearchResult search =
@@ -614,7 +607,7 @@ Detection Detector::possibly(const SymmetricPredicate& pred,
         switch (step.algorithm) {
           case analyze::Algorithm::SymmetricExactSumDisjunction:
             return exactPossibly(
-                possiblySymmetric(eventOrder(), *trace_, pred));
+                possiblySymmetric(clocks_, *trace_, pred));
           case analyze::Algorithm::LatticeEnumeration: {
             const lattice::CutSearchResult search =
                 lattice::findSatisfyingCut(clocks_, pred.bind(*trace_),
@@ -705,9 +698,9 @@ Detection Detector::definitely(const SumPredicate& pred,
               // Σ = K with |ΔS| > 1 skips the Theorem 7(2) reduction —
               // decide against the lattice directly (definitelySum would
               // reject the precondition), after the range test.
-              if (outsideSumRange(eventOrder(), *trace_, pred)) {
+              if (outsideSumRange(*trace_, pred)) {
                 StepRun run = exactDefinitely(false);
-                run.avoidingRun = topologicalRun(eventOrder());
+                run.avoidingRun = topologicalRun(trace_->computation());
                 return run;
               }
               return latticeDefinitely(lattice::decideDefinitely(

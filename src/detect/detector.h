@@ -129,13 +129,8 @@ class Detector {
   // routing decision, the plan the walk then runs.
   void adopt(analyze::AnalysisReport report);
 
-  // The sum detectors' event DAG and topological order, built on the first
-  // sum or symmetric query and shared by every later one.
-  const EventOrder& eventOrder();
-
   const VariableTrace* trace_;
   VectorClocks clocks_;
-  std::optional<EventOrder> eventOrder_;
   par::Pool* pool_ = nullptr;
   bool slicing_ = true;
   std::string lastAlgorithm_;

@@ -7,32 +7,10 @@
 
 namespace gpd::detect {
 
-namespace {
-
-Cut cutFromClosure(const Computation& comp, const std::vector<char>& inSet) {
-  Cut cut(std::vector<int>(comp.processCount(), 0));
-  for (ProcessId p = 0; p < comp.processCount(); ++p) {
-    int i = 1;
-    while (i < comp.eventCount(p) && inSet[comp.node({p, i})]) ++i;
-    cut.last[p] = i - 1;
-  }
-  return cut;
-}
-
-}  // namespace
-
-EventOrder::EventOrder(const Computation& c) : comp(&c) {
-  const graph::Dag dag = c.toDagWithoutInitialEdges();
-  auto order = dag.topologicalOrder();
-  GPD_CHECK(order.has_value());
-  topological = std::move(*order);
-  reversed = dag.reversed();
-}
-
-SumRange::SumRange(const EventOrder& order, const VariableTrace& trace,
+SumRange::SumRange(const Computation& comp, const VariableTrace& trace,
                    const std::vector<SumTerm>& terms)
-    : order_(&order), deltas_(sumDeltas(trace, terms)) {
-  GPD_CHECK(trace.computation().totalEvents() == order.comp->totalEvents());
+    : comp_(&comp), deltas_(sumDeltas(trace, terms)) {
+  GPD_CHECK(trace.computation().totalEvents() == comp.totalEvents());
 }
 
 const SumExtremum& SumRange::max() {
@@ -45,20 +23,96 @@ const SumExtremum& SumRange::min() {
   return *min_;
 }
 
-// Ideals (down-closed sets) of the event order are closures of the reversed
-// DAG. Initial events carry weight 0, so whether the closure includes them
-// is irrelevant to the optimum, and cutFromClosure only reads non-initial
-// membership. The min side is the max-weight closure under −Δ. The bound
-// checked by sumDeltas keeps every weight, total and negation in range.
+// Contracts each process's non-initial events into runs by R1 and R2 (see
+// sum.h) in one stack pass, solves the max-weight closure over the runs and
+// reads the cut back. A pushed event merges the stack top into itself while
+// it satisfies R1 (against the top, or ⊥ when the stack is empty: fixed in)
+// or the top satisfies R2 against it; a merge changes only the new run, so
+// the pass ends at the fixpoint once trailing R2 runs are dropped. Closure
+// arcs point from a run to what it requires: its stack predecessor, and for
+// each message the sending run, unless the send is fixed in or the receive
+// dropped (fixed-in runs hold no receive and dropped runs no send). The min
+// side is the max-weight closure under −Δ. The bound checked by sumDeltas
+// keeps every weight, total and negation in range.
 SumExtremum SumRange::solve(bool maximize) const {
-  std::vector<std::int64_t> weight = deltas_.perNode;
-  if (!maximize) {
-    for (std::int64_t& w : weight) w = -w;
+  struct Run {
+    int lo;
+    int hi;
+    std::int64_t weight;
+    bool receives;
+    bool sends;
+  };
+  const Computation& comp = *comp_;
+  const int procs = comp.processCount();
+  // The surviving runs, process-major: p's are [firstRun[p], firstRun[p+1]).
+  std::vector<Run> runs;
+  std::vector<int> firstRun(procs + 1, 0);
+  Cut cut = initialCut(comp);         // the fixed-in prefixes, for now
+  std::vector<int> keptHi(procs, 0);  // later events are dropped
+  std::int64_t fixedWeight = 0;
+  for (ProcessId p = 0; p < procs; ++p) {
+    const int bottom = static_cast<int>(runs.size());
+    firstRun[p] = bottom;
+    for (int i = 1; i < comp.eventCount(p); ++i) {
+      const EventId e{p, i};
+      const std::int64_t delta = deltas_.perNode[comp.node(e)];
+      Run run{i, i, maximize ? delta : -delta,
+              !comp.incomingMessages(e).empty(),
+              !comp.outgoingMessages(e).empty()};
+      while (static_cast<int>(runs.size()) > bottom) {
+        const Run& top = runs.back();
+        const bool r1 = run.weight > 0 && !run.receives;  // run joins top
+        const bool r2 = top.weight <= 0 && !top.sends;    // top joins run
+        if (!r1 && !r2) break;
+        run = {top.lo, run.hi, top.weight + run.weight,
+               top.receives || run.receives, top.sends || run.sends};
+        runs.pop_back();
+      }
+      if (static_cast<int>(runs.size()) == bottom && run.weight > 0 &&
+          !run.receives) {
+        cut.last[p] = run.hi;  // R1 against ⊥: fixed in
+        fixedWeight += run.weight;
+      } else {
+        runs.push_back(run);
+      }
+    }
+    while (static_cast<int>(runs.size()) > bottom && runs.back().weight <= 0 &&
+           !runs.back().sends) {
+      runs.pop_back();
+    }
+    keptHi[p] = static_cast<int>(runs.size()) > bottom ? runs.back().hi
+                                                        : cut.last[p];
   }
-  const flow::ClosureResult res =
-      flow::maxWeightClosure(order_->reversed, weight);
-  return {maximize ? deltas_.base + res.weight : deltas_.base - res.weight,
-          cutFromClosure(*order_->comp, res.inClosure)};
+  const int n = static_cast<int>(runs.size());
+  firstRun[procs] = n;
+
+  std::vector<int> runOf(comp.totalEvents(), -1);
+  std::vector<std::int64_t> weight(n);
+  std::vector<flow::Arc> arcs;
+  for (ProcessId p = 0; p < procs; ++p) {
+    for (int r = firstRun[p]; r < firstRun[p + 1]; ++r) {
+      weight[r] = runs[r].weight;
+      if (r > firstRun[p]) arcs.push_back({r, r - 1});
+      const int base = comp.node({p, 0});
+      for (int i = runs[r].lo; i <= runs[r].hi; ++i) runOf[base + i] = r;
+    }
+  }
+  for (const Message& m : comp.messages()) {
+    if (m.receive.index > keptHi[m.receive.process] ||
+        m.send.index <= cut.last[m.send.process]) {
+      continue;
+    }
+    arcs.push_back({runOf[comp.node(m.receive)], runOf[comp.node(m.send)]});
+  }
+  const flow::ClosureResult res = flow::maxWeightClosure(n, arcs, weight);
+
+  for (ProcessId p = 0; p < procs; ++p) {
+    for (int r = firstRun[p]; r < firstRun[p + 1] && res.inClosure[r]; ++r) {
+      cut.last[p] = runs[r].hi;
+    }
+  }
+  const std::int64_t gain = fixedWeight + res.weight;
+  return {maximize ? deltas_.base + gain : deltas_.base - gain, std::move(cut)};
 }
 
 // Theorem 4 walk: execute the events of `target` one at a time from the
@@ -66,11 +120,11 @@ SumExtremum SumRange::solve(bool maximize) const {
 // return the first cut whose running sum equals K. Requires |Δ| ≤ 1 and K
 // between S(⊥) and S(target).
 Cut SumRange::walkUntilSum(const Cut& target, std::int64_t k) const {
-  const Computation& comp = *order_->comp;
+  const Computation& comp = *comp_;
   Cut cut = initialCut(comp);
   std::int64_t sum = deltas_.base;
   if (sum == k) return cut;
-  for (int node : order_->topological) {
+  for (int node : comp.topologicalOrder()) {
     const EventId e = comp.event(node);
     if (e.isInitial() || !target.contains(e)) continue;
     GPD_DCHECK(cut.last[e.process] + 1 == e.index);
@@ -108,7 +162,7 @@ std::optional<Cut> SumRange::possibly(Relop relop, std::int64_t k) {
   GPD_CHECK_MSG(deltas_.maxAbs <= 1,
                 "Theorem 4 requires every event to change the sum by at most "
                 "1; use detectExactSum for arbitrary deltas");
-  if (deltas_.base == k) return initialCut(*order_->comp);
+  if (deltas_.base == k) return initialCut(*comp_);
   if (deltas_.base < k && max().sum >= k) return walkUntilSum(max().arg, k);
   if (deltas_.base > k && min().sum <= k) return walkUntilSum(min().arg, k);
   return std::nullopt;
@@ -116,8 +170,7 @@ std::optional<Cut> SumRange::possibly(Relop relop, std::int64_t k) {
 
 SumExtrema sumExtrema(const VectorClocks& clocks, const VariableTrace& trace,
                       const std::vector<SumTerm>& terms) {
-  const EventOrder order(clocks.computation());
-  SumRange range(order, trace, terms);
+  SumRange range(clocks.computation(), trace, terms);
   SumExtrema ext{range.min().sum, range.max().sum, range.min().arg,
                  range.max().arg};
   GPD_DCHECK(clocks.isConsistent(ext.argMax));
@@ -125,17 +178,12 @@ SumExtrema sumExtrema(const VectorClocks& clocks, const VariableTrace& trace,
   return ext;
 }
 
-std::optional<Cut> possiblySum(const EventOrder& order,
-                               const VariableTrace& trace,
-                               const SumPredicate& pred) {
-  GPD_TRACE_SPAN("detect.sum.possibly");
-  return SumRange(order, trace, pred.terms).possibly(pred.relop, pred.k);
-}
-
 std::optional<Cut> possiblySum(const VectorClocks& clocks,
                                const VariableTrace& trace,
                                const SumPredicate& pred) {
-  return possiblySum(EventOrder(clocks.computation()), trace, pred);
+  GPD_TRACE_SPAN("detect.sum.possibly");
+  return SumRange(clocks.computation(), trace, pred.terms)
+      .possibly(pred.relop, pred.k);
 }
 
 lattice::CutSearchResult detectExactSum(const VectorClocks& clocks,

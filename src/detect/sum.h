@@ -4,13 +4,35 @@
 // cuts. Consistent cuts are exactly the down-closed sets (ideals) of the
 // non-initial event poset, and S(C) = S(⊥) + Σ_{e ∈ C} Δ(e) where Δ(e) is
 // the change event e applies — so the extremum is a maximum-weight closure
-// problem over the event DAG, polynomial via min-cut (src/flow).
+// problem, polynomial via min-cut (src/flow).
+//
+// A consistent cut meets each process in a prefix, so the closure is solved
+// on runs of consecutive events instead of on events. With w the weight of
+// the side being solved (Δ for max S, −Δ for min S), each process's events
+// are contracted by two rules, applied until nothing changes:
+//  R1. A run with w > 0 and no receive joins its process predecessor. Once
+//      the predecessor is in, adding the run needs nothing else and strictly
+//      raises the weight, so no optimum holds one without the other. A run
+//      that joins ⊥ is fixed in: its weight is a constant and it gets no
+//      node.
+//  R2. A run with w ≤ 0 and no send joins its process successor. Only that
+//      successor requires it, so dropping it from a closure that lacks the
+//      successor loses no weight and removes nodes: the optimum with the
+//      fewest events holds it only together with the successor. A trailing
+//      run with no successor is dropped: always out, no node.
+// The solver returns the optimum with the fewest nodes, which is unique
+// (optimal closures are closed under ∩). The contracted closures are the
+// event closures that respect the runs, with the same weights; the minimal
+// event optimum is one of them by the two arguments above, so it is also
+// the minimal contracted optimum. Witnesses are therefore those of the
+// uncontracted solve, which the property test keeps as its oracle.
 //
 // Equality (the paper's contribution):
 //  * |Δ| ≤ 1 per event: Theorem 4 (intermediate value along lattice paths)
 //    gives possibly(S = K) ⟺ (S(⊥) ≤ K ∧ max S ≥ K) ∨ (S(⊥) ≥ K ∧ min S ≤ K)
 //    (Theorem 7(1)); the witness is found by walking a path toward the
-//    extremal cut until the running sum first hits K.
+//    extremal cut, in the computation's topological order, until the
+//    running sum first hits K.
 //  * arbitrary Δ: NP-complete (Theorem 2); detectExactSum is the lattice
 //    fallback, and src/reduction demonstrates the hardness via
 //    subset sum.
@@ -28,40 +50,27 @@
 #include "clocks/vector_clock.h"
 #include "computation/cut.h"
 #include "control/budget.h"
-#include "graph/dag.h"
 #include "lattice/explore.h"
 #include "predicates/relational.h"
 
 namespace gpd::detect {
 
-// The event order the polynomial sum detectors work on. It depends only on
-// the computation, so a Detector builds it once and every sum query shares
-// it.
-struct EventOrder {
-  explicit EventOrder(const Computation& comp);
-
-  const Computation* comp;
-  // The event DAG reversed: ideals of the event order (consistent cuts)
-  // are exactly its closures.
-  graph::Dag reversed;
-  // A topological order of the events, for the Theorem 4 walk.
-  std::vector<int> topological;
-};
-
 // One side of S's range over the consistent cuts: the extremal sum and the
-// smallest consistent cut attaining it (unique; see flow/closure.h).
+// smallest consistent cut attaining it (unique; see above).
 struct SumExtremum {
   std::int64_t sum = 0;
   Cut arg;
 };
 
 // The range of one term set's S, each side solved on first use with one
-// max-weight closure and then kept. A query solves only the sides its relop
-// or Theorem 7 branch needs, and the disjuncts of a symmetric predicate
-// (same terms, different K) share them. Holds a reference to `order`.
+// contracted max-weight closure and then kept. A query solves only the
+// sides its relop or Theorem 7 branch needs, and the disjuncts of a
+// symmetric predicate (same terms, different K) share them. Holds a
+// reference to `comp`, which must be the trace's computation or one of the
+// same shape.
 class SumRange {
  public:
-  SumRange(const EventOrder& order, const VariableTrace& trace,
+  SumRange(const Computation& comp, const VariableTrace& trace,
            const std::vector<SumTerm>& terms);
 
   const SumExtremum& max();
@@ -74,7 +83,7 @@ class SumRange {
   SumExtremum solve(bool maximize) const;
   Cut walkUntilSum(const Cut& target, std::int64_t k) const;
 
-  const EventOrder* order_;
+  const Computation* comp_;
   SumDeltas deltas_;
   std::optional<SumExtremum> max_;
   std::optional<SumExtremum> min_;
@@ -99,9 +108,6 @@ SumExtrema sumExtrema(const VectorClocks& clocks, const VariableTrace& trace,
 // only when min S = K, and = the side its Theorem 7(1) branch walks toward
 // (none when K = S(⊥), whose witness is ⊥). Throws InputError when the sum
 // overflows int64 (see sumDeltas).
-std::optional<Cut> possiblySum(const EventOrder& order,
-                               const VariableTrace& trace,
-                               const SumPredicate& pred);
 std::optional<Cut> possiblySum(const VectorClocks& clocks,
                                const VariableTrace& trace,
                                const SumPredicate& pred);

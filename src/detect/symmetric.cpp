@@ -5,21 +5,15 @@
 
 namespace gpd::detect {
 
-std::optional<Cut> possiblySymmetric(const EventOrder& order,
+std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
                                      const VariableTrace& trace,
                                      const SymmetricPredicate& pred) {
   GPD_TRACE_SPAN("detect.symmetric.possibly");
-  SumRange range(order, trace, pred.vars);
+  SumRange range(clocks.computation(), trace, pred.vars);
   for (int t : pred.trueCounts) {
     if (auto cut = range.possibly(Relop::Equal, t)) return cut;
   }
   return std::nullopt;
-}
-
-std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
-                                     const VariableTrace& trace,
-                                     const SymmetricPredicate& pred) {
-  return possiblySymmetric(EventOrder(clocks.computation()), trace, pred);
 }
 
 SumDecision definitelySymmetric(const VectorClocks& clocks,

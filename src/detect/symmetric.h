@@ -19,9 +19,6 @@ namespace gpd::detect {
 
 // Returns a witness cut for possibly(φ), or nullopt. The disjuncts share one
 // SumRange, so the whole disjunction solves at most two closures.
-std::optional<Cut> possiblySymmetric(const EventOrder& order,
-                                     const VariableTrace& trace,
-                                     const SymmetricPredicate& pred);
 std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
                                      const VariableTrace& trace,
                                      const SymmetricPredicate& pred);

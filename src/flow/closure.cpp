@@ -8,15 +8,15 @@
 
 namespace gpd::flow {
 
-ClosureResult maxWeightClosure(const graph::Dag& g,
+ClosureResult maxWeightClosure(int n, const std::vector<Arc>& arcs,
                                const std::vector<std::int64_t>& weight) {
-  const int n = g.size();
-  GPD_CHECK(static_cast<int>(weight.size()) == n);
+  GPD_CHECK(n >= 0 && static_cast<int>(weight.size()) == n);
   GPD_OBS_COUNTER_ADD("flow_closures_solved", 1);
+  GPD_OBS_COUNTER_ADD("flow_closure_nodes", static_cast<std::uint64_t>(n));
 
   // Standard construction: source → u with cap w(u) for positive weights,
   // u → sink with cap −w(u) for negative ones, and an infinite-capacity arc
-  // per graph edge. Source side of the min cut = optimal closure.
+  // per graph arc. Source side of the min cut = optimal closure.
   MaxFlow mf(n + 2);
   const int source = n;
   const int sink = n + 1;
@@ -36,16 +36,16 @@ ClosureResult maxWeightClosure(const graph::Dag& g,
   GPD_CHECK_MSG(positiveTotal < std::numeric_limits<std::int64_t>::max(),
                 "positive closure weights overflow int64");
   const std::int64_t inf = positiveTotal + 1;
-  for (int u = 0; u < n; ++u) {
-    for (int v : g.successors(u)) mf.addEdge(u, v, inf);
+  for (const Arc& a : arcs) {
+    GPD_CHECK(a.from >= 0 && a.from < n && a.to >= 0 && a.to < n);
+    mf.addEdge(a.from, a.to, inf);
   }
   const std::int64_t cut = mf.solve(source, sink);
 
   ClosureResult res;
   res.weight = positiveTotal - cut;
-  const std::vector<char> side = mf.minCutSourceSide();
-  res.inClosure.assign(n, 0);
-  for (int u = 0; u < n; ++u) res.inClosure[u] = side[u];
+  res.inClosure = mf.minCutSourceSide();
+  res.inClosure.resize(n);  // drop the source and sink
   GPD_CHECK(res.weight >= 0);  // empty closure is always available
   return res;
 }

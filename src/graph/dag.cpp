@@ -44,14 +44,6 @@ std::optional<std::vector<int>> Dag::topologicalOrder() const {
   return order;
 }
 
-Dag Dag::reversed() const {
-  Dag r(size());
-  for (int u = 0; u < size(); ++u) {
-    for (int v : succ_[u]) r.addEdge(v, u);
-  }
-  return r;
-}
-
 Reachability::Reachability(const Dag& dag) : n_(dag.size()) {
   const auto order = dag.topologicalOrder();
   GPD_CHECK_MSG(order.has_value(), "Reachability requires an acyclic graph");

@@ -32,9 +32,6 @@ class Dag {
   std::optional<std::vector<int>> topologicalOrder() const;
   bool isAcyclic() const { return topologicalOrder().has_value(); }
 
-  // New Dag with every edge reversed.
-  Dag reversed() const;
-
  private:
   std::vector<std::vector<int>> succ_;
   std::vector<std::vector<int>> pred_;

@@ -27,6 +27,7 @@ constexpr const char* kCounterInventory[] = {
     "dnf_terms_tried",           // DNF terms scanned by possiblyExpression
     "dpll_decisions",            // DPLL branching decisions
     "dpll_propagations",         // DPLL unit propagations
+    "flow_closure_nodes",        // nodes (contracted runs) in those closures
     "flow_closures_solved",      // max-weight closures (min-cuts) solved
     "lattice_explorations",      // lattice possibly-search runs
     "monitor_degraded_streams",  // streams written off by the session

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "computation/random.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace gpd {
 namespace {
@@ -83,6 +87,46 @@ TEST(ComputationTest, FullDagAddsInitialPrecedence) {
   EXPECT_FALSE(reach.reaches(c.node({1, 0}), c.node({0, 0})));
 }
 
+// Messages from lower to higher event indices (so acyclic), where one event
+// may send several and they are added in random order: the order's
+// message-index tie-break matters here.
+Computation multiSendComputation(Rng& rng) {
+  const int procs = static_cast<int>(rng.uniform(2, 5));
+  const int events = static_cast<int>(rng.uniform(1, 8));
+  ComputationBuilder b(procs);
+  for (ProcessId p = 0; p < procs; ++p) {
+    for (int i = 0; i < events; ++i) b.appendEvent(p);
+  }
+  const int messages = static_cast<int>(rng.uniform(0, procs * events));
+  for (int k = 0; k < messages; ++k) {
+    const ProcessId p = static_cast<ProcessId>(rng.index(procs));
+    const ProcessId q = (p + 1 + static_cast<ProcessId>(rng.index(procs - 1))) % procs;
+    const int i = static_cast<int>(rng.uniform(1, events));
+    const int j = static_cast<int>(rng.uniform(1, events));
+    if (i < j) b.addMessage({p, i}, {q, j});
+  }
+  return std::move(b).build();
+}
+
+// The builder's stored order is the one graph::Dag's Kahn pass gives on the
+// happened-before DAG: the clocks and the Theorem 4 walk depend on it.
+TEST(ComputationTest, StoredTopologicalOrderMatchesDagKahn) {
+  for (int trial = 0; trial < 200; ++trial) {
+    Rng rng(9100 + static_cast<std::uint64_t>(trial));
+    RandomComputationOptions opt;
+    opt.processes = static_cast<int>(rng.uniform(1, 6));
+    opt.eventsPerProcess = static_cast<int>(rng.uniform(0, 10));
+    opt.messageProbability = rng.real();
+    opt.allowSendReceive = trial % 3 != 0;
+    for (const Computation& c :
+         {randomComputation(opt, rng), multiSendComputation(rng)}) {
+      const auto expected = c.toDagWithoutInitialEdges().topologicalOrder();
+      ASSERT_TRUE(expected.has_value());
+      EXPECT_EQ(c.topologicalOrder(), *expected) << "trial " << trial;
+    }
+  }
+}
+
 TEST(ComputationBuilderTest, RejectsCausalCycle) {
   ComputationBuilder b(2);
   const EventId a1 = b.appendEvent(0);
@@ -91,7 +135,14 @@ TEST(ComputationBuilderTest, RejectsCausalCycle) {
   const EventId b2 = b.appendEvent(1);
   b.addMessage(a2, b1);  // a2 -> b1
   b.addMessage(b2, a1);  // b2 -> a1: cycle a1 < a2 < b1 < b2 < a1
-  EXPECT_THROW(std::move(b).build(), CheckFailure);
+  try {
+    (void)std::move(b).build();
+    ADD_FAILURE() << "cyclic computation accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("message edges create a causal cycle"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ComputationBuilderTest, RejectsInitialEventMessages) {

@@ -78,16 +78,6 @@ TEST(DagTest, CycleDetected) {
   EXPECT_FALSE(g.isAcyclic());
 }
 
-TEST(DagTest, ReversedSwapsEdges) {
-  Dag g(3);
-  g.addEdge(0, 1);
-  g.addEdge(1, 2);
-  const Dag r = g.reversed();
-  EXPECT_EQ(r.successors(1), std::vector<int>{0});
-  EXPECT_EQ(r.successors(2), std::vector<int>{1});
-  EXPECT_TRUE(r.successors(0).empty());
-}
-
 TEST(ReachabilityTest, MatchesDfsOnRandomDags) {
   Rng rng(77);
   for (int trial = 0; trial < 15; ++trial) {

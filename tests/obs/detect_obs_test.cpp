@@ -172,6 +172,27 @@ TEST_F(DetectObsTest, SumQueriesSolveOnlyTheClosuresTheyNeed) {
   EXPECT_EQ(closures(sym), 1u);
 }
 
+// flow_closure_nodes counts the contracted runs handed to the closure
+// solver. On one process with Δ = +1, +1, −1 the max side fixes the first
+// two events in and drops the last, so its closure has no node at all; it
+// is still solved, and counted, once.
+TEST_F(DetectObsTest, ContractionCanLeaveTheClosureWithoutNodes) {
+  ComputationBuilder b(1);
+  for (int i = 0; i < 3; ++i) b.appendEvent(0);
+  const Computation c = std::move(b).build();
+  VariableTrace trace(c);
+  trace.define(0, "x", {0, 1, 2, 1});
+  detect::Detector det(trace);
+  registry().reset();
+  const std::optional<Cut> witness =
+      det.possibly(SumPredicate{{{0, "x"}}, Relop::GreaterEq, 2});
+  EXPECT_EQ(det.lastAlgorithm(), "min-cut-extrema");
+  ASSERT_TRUE(witness.has_value());
+  EXPECT_EQ(*witness, Cut({2}));
+  EXPECT_EQ(counterValue("flow_closures_solved"), 1u);
+  EXPECT_EQ(counterValue("flow_closure_nodes"), 0u);
+}
+
 // An exact sum with steps above 1 routes to the lattice; the range test in
 // front of it solves the max side, then the min side only when K ≤ max S,
 // and counts the queries it refutes.

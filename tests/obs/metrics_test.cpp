@@ -102,7 +102,7 @@ TEST(Renderers, TextListsPreRegisteredInventory) {
   for (const char* name :
        {"cpdhb_invocations", "cpdhb_comparisons", "cuts_enumerated",
         "definitely_cuts_enumerated", "lattice_explorations", "dpll_decisions", "dnf_terms_tried",
-        "flow_closures_solved",
+        "flow_closure_nodes", "flow_closures_solved",
         "monitor_notifications", "monitor_nacks_sent", "monitor_retransmits",
         "plan_steps_run", "plan_steps_skipped", "plan_predicted_combinations",
         "plan_actual_combinations", "sum_range_precheck_decided",
