@@ -3,6 +3,10 @@
 // The chain-cover enumeration tries Π cⱼ combinations against k^m for
 // process enumeration. Messages that causally chain a group's true events
 // shrink cⱼ below k, so the advantage should grow with message density.
+// Every cover's size is checked against the brute-force maximum antichain
+// of its group's three true events (Dilworth), so a wrong matching aborts.
+#include <bit>
+
 #include "bench_util.h"
 
 int main() {
@@ -44,6 +48,29 @@ int main() {
       }
       const VectorClocks clocks(comp);
       const auto covers = detect::clauseChainCovers(clocks, trace, pred);
+      const auto trueEvents = analyze::clauseTrueEvents(trace, pred);
+      for (std::size_t j = 0; j < covers.size(); ++j) {
+        // Dilworth: the minimum cover has as many chains as the largest
+        // antichain, found here by trying every subset of the 3 events.
+        const std::vector<EventId>& events = trueEvents[j];
+        GPD_CHECK(events.size() == 3);
+        std::size_t widest = 0;
+        for (unsigned mask = 1; mask < 8; ++mask) {
+          bool antichain = true;
+          for (int a = 0; a < 3; ++a) {
+            for (int b = 0; b < 3; ++b) {
+              if (a != b && (mask >> a & 1) && (mask >> b & 1) &&
+                  clocks.leq(events[a], events[b])) {
+                antichain = false;
+              }
+            }
+          }
+          if (antichain) {
+            widest = std::max<std::size_t>(widest, std::popcount(mask));
+          }
+        }
+        GPD_CHECK(covers[j].size() == widest);
+      }
       double proc = 1;
       double chain = 1;
       for (const auto& cover : covers) {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "clocks/chain_cover.h"
 #include "clocks/lamport.h"
-#include "graph/chains.h"
 #include "util/check.h"
 
 namespace gpd::analysis {
@@ -26,11 +26,8 @@ ComputationStats computeStats(const VectorClocks& clocks) {
     for (int i = 1; i < comp.eventCount(p); ++i) events.push_back({p, i});
   }
   if (!events.empty()) {
-    const auto cover = graph::minimumChainCover(
-        static_cast<int>(events.size()), [&](int a, int b) {
-          return !(events[a] == events[b]) && clocks.leq(events[a], events[b]);
-        });
-    stats.width = static_cast<int>(cover.size());  // Dilworth
+    // Dilworth: the minimum chain cover has the width's size.
+    stats.width = static_cast<int>(chainCover(clocks, events).size());
   }
 
   // Concurrency index over distinct non-initial pairs.

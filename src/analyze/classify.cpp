@@ -2,63 +2,12 @@
 
 #include <algorithm>
 
-#include "graph/chains.h"
+#include "clocks/chain_cover.h"
 #include "lattice/explore.h"
 
 namespace gpd::analyze {
 
 namespace {
-
-// Events of clause j where some literal holds — the same enumeration the
-// Sec. 3.3 detectors run (detect::clauseTrueEvents), recomputed here so the
-// analysis layer stays below src/detect in the module order.
-std::vector<EventId> clauseTrue(const VariableTrace& trace,
-                                const CnfPredicate& pred, int j,
-                                const std::vector<ProcessId>& processes) {
-  const Computation& comp = trace.computation();
-  std::vector<EventId> out;
-  for (ProcessId p : processes) {
-    for (int i = 0; i < comp.eventCount(p); ++i) {
-      for (const BoolLiteral& l : pred.clauses[j]) {
-        if (l.process == p && l.holds(trace, i)) {
-          out.push_back({p, i});
-          break;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-// Receive (or send) events hosted by the group — Sec. 3.2's meta-process
-// event sets.
-std::vector<EventId> groupEventsOfKind(const Computation& comp,
-                                       const std::vector<ProcessId>& group,
-                                       bool receives) {
-  std::vector<EventId> out;
-  for (ProcessId p : group) {
-    for (int i = 1; i < comp.eventCount(p); ++i) {
-      const EventId e{p, i};
-      const bool has = receives ? !comp.incomingMessages(e).empty()
-                                : !comp.outgoingMessages(e).empty();
-      if (has) out.push_back(e);
-    }
-  }
-  return out;
-}
-
-bool pairwiseOrdered(const VectorClocks& clocks,
-                     const std::vector<EventId>& events) {
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    for (std::size_t j = i + 1; j < events.size(); ++j) {
-      if (!clocks.leq(events[i], events[j]) &&
-          !clocks.leq(events[j], events[i])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 // Exhaustive linearity check (Chase–Garg): every cut violating φ has a
 // forbidden process p — no superset cut agreeing on p satisfies φ.
@@ -110,6 +59,69 @@ Hint regularityHint(const std::vector<Cut>& cuts,
 }
 
 }  // namespace
+
+std::vector<std::vector<EventId>> clauseTrueEvents(
+    const VariableTrace& trace, const CnfPredicate& pred,
+    const std::vector<char>* admittedNode) {
+  const Computation& comp = trace.computation();
+  std::vector<std::vector<EventId>> out(pred.clauses.size());
+  struct Column {
+    const std::vector<std::int64_t>* values;
+    bool positive;
+  };
+  std::vector<Column> literals;
+  for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
+    for (ProcessId p : pred.clauseProcesses(static_cast<int>(j))) {
+      // The clause's literals on p, each resolved to its column once.
+      literals.clear();
+      for (const BoolLiteral& l : pred.clauses[j]) {
+        if (l.process == p) {
+          literals.push_back({&trace.column(p, l.var), l.positive});
+        }
+      }
+      for (int i = 0; i < comp.eventCount(p); ++i) {
+        if (admittedNode != nullptr && !(*admittedNode)[comp.node({p, i})]) {
+          continue;  // sliced out: no satisfying cut passes through it
+        }
+        for (const Column& l : literals) {
+          if (((*l.values)[i] != 0) == l.positive) {
+            out[j].push_back({p, i});
+            break;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<EventId> groupEventsOfKind(const Computation& comp,
+                                       const std::vector<ProcessId>& group,
+                                       bool receives) {
+  std::vector<EventId> out;
+  for (ProcessId p : group) {
+    for (int i = 1; i < comp.eventCount(p); ++i) {
+      const EventId e{p, i};
+      const bool has = receives ? !comp.incomingMessages(e).empty()
+                                : !comp.outgoingMessages(e).empty();
+      if (has) out.push_back(e);
+    }
+  }
+  return out;
+}
+
+bool pairwiseOrdered(const VectorClocks& clocks,
+                     const std::vector<EventId>& events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t j = i + 1; j < events.size(); ++j) {
+      if (!clocks.leq(events[i], events[j]) &&
+          !clocks.leq(events[j], events[i])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 const char* toString(Hint h) {
   switch (h) {
@@ -164,12 +176,13 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
   }
   out.conjunctive = out.singular && out.uniformK == 1;
 
+  const std::vector<std::vector<EventId>> trueEvents =
+      clauseTrueEvents(trace, pred);
   for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
     ClauseFacts facts;
     facts.literals = static_cast<int>(pred.clauses[j].size());
     facts.processes = pred.clauseProcesses(static_cast<int>(j));
-    const std::vector<EventId> events =
-        clauseTrue(trace, pred, static_cast<int>(j), facts.processes);
+    const std::vector<EventId>& events = trueEvents[j];
     facts.trueEventCount = static_cast<int>(events.size());
     for (ProcessId p : facts.processes) {
       if (std::any_of(events.begin(), events.end(),
@@ -177,14 +190,8 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
         ++facts.hostingChains;
       }
     }
-    facts.chainCoverSize = static_cast<int>(
-        graph::minimumChainCover(
-            static_cast<int>(events.size()),
-            [&](int a, int b) {
-              return !(events[a] == events[b]) &&
-                     clocks.leq(events[a], events[b]);
-            })
-            .size());
+    facts.cover = chainCover(clocks, events);
+    facts.chainCoverSize = static_cast<int>(facts.cover.size());
     out.clauses.push_back(std::move(facts));
   }
   for (const ClauseFacts& facts : out.clauses) {

@@ -6,8 +6,13 @@
 // width k, the per-meta-process receive-/send-ordered preconditions of the
 // Sec. 3.2 scan, and the per-clause cost inputs of Sec. 3.3 — the number of
 // hosting processes kⱼ (process enumeration) and the minimum chain cover
-// size cⱼ of the clause's true events (chain-cover enumeration, via
-// graph::minimumChainCover).
+// size cⱼ of the clause's true events (chain-cover enumeration). The cover
+// itself (clocks/chain_cover.h) is kept, so a detector that enumerates the
+// same true events reuses it instead of building it again.
+//
+// The clause-true event sets and the Sec. 3.2 group-order test live here
+// too, as the one copy the classifier and the detectors share: a shared
+// cover is only valid over the event sequence the detector enumerates.
 //
 // Stability (Chandy–Lamport), linearity (Chase–Garg), and regularity
 // (Garg–Mittal: meet- AND join-closed, the class computation slicing is
@@ -40,6 +45,9 @@ struct ClauseFacts {
   int trueEventCount = 0;             // events where some literal holds
   int hostingChains = 0;              // kⱼ: non-empty per-process chains
   int chainCoverSize = 0;             // cⱼ: minimum chain cover (Dilworth)
+  // The cover itself, chainCover() over the clause's clauseTrueEvents
+  // (chainCoverSize chains). Stored for the detector, never rendered.
+  std::vector<std::vector<EventId>> cover;
 };
 
 struct CnfClassification {
@@ -76,6 +84,29 @@ struct ClassifyOptions {
   // lattice stays within this many cuts; beyond it they stay Unknown.
   std::uint64_t latticeCutLimit = 20000;
 };
+
+// For each clause, the events on the clause's processes at which the clause
+// is true (i.e., some literal of the clause holds), grouped by process in
+// clauseProcesses order with ascending indices. A cut satisfies the
+// predicate iff it passes through one such event per clause (Observation 1).
+// `admittedNode` (Computation::node-indexed, optional) drops events outside
+// an admitted set — the slice-first odometer pruning: an event excluded from
+// the regular skeleton's slice lies in no satisfying cut, so no selection
+// through it can succeed (the verdict is preserved; the witness may move to
+// a different, equally valid selection).
+std::vector<std::vector<EventId>> clauseTrueEvents(
+    const VariableTrace& trace, const CnfPredicate& pred,
+    const std::vector<char>* admittedNode = nullptr);
+
+// The receive (or send) events hosted by a clause group, grouped by process
+// in `group` order — Sec. 3.2's meta-process event sets.
+std::vector<EventId> groupEventsOfKind(const Computation& comp,
+                                       const std::vector<ProcessId>& group,
+                                       bool receives);
+
+// Whether every two of `events` are causally ordered (one way or the other).
+bool pairwiseOrdered(const VectorClocks& clocks,
+                     const std::vector<EventId>& events);
 
 CnfClassification classifyCnf(const VectorClocks& clocks,
                               const VariableTrace& trace,

@@ -2,43 +2,14 @@
 
 #include <algorithm>
 
+#include "analyze/classify.h"
 #include "computation/reverse.h"
-#include "detect/singular_cnf.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
 namespace gpd::detect {
 
 namespace {
-
-// Receive (or send) events on the group's processes.
-std::vector<EventId> groupEventsOfKind(const Computation& comp,
-                                       const std::vector<ProcessId>& group,
-                                       bool receives) {
-  std::vector<EventId> out;
-  for (ProcessId p : group) {
-    for (int i = 1; i < comp.eventCount(p); ++i) {
-      const EventId e{p, i};
-      const bool has = receives ? !comp.incomingMessages(e).empty()
-                                : !comp.outgoingMessages(e).empty();
-      if (has) out.push_back(e);
-    }
-  }
-  return out;
-}
-
-bool pairwiseOrdered(const VectorClocks& clocks,
-                     const std::vector<EventId>& events) {
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    for (std::size_t j = i + 1; j < events.size(); ++j) {
-      if (!clocks.leq(events[i], events[j]) &&
-          !clocks.leq(events[j], events[i])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 // σ: a linearization of the order extended per meta-process with an arrow
 // from every group event to each independent receive of the same group.
@@ -49,7 +20,8 @@ std::vector<int> sigmaPositions(const VectorClocks& clocks,
   const Computation& comp = clocks.computation();
   graph::Dag g = comp.toDag();
   for (const auto& group : groups) {
-    const auto receives = groupEventsOfKind(comp, group, /*receives=*/true);
+    const auto receives =
+        analyze::groupEventsOfKind(comp, group, /*receives=*/true);
     for (const EventId& r : receives) {
       for (ProcessId p : group) {
         for (int i = 0; i < comp.eventCount(p); ++i) {
@@ -81,8 +53,9 @@ Groups groupsOfSingularCnf(const CnfPredicate& pred) {
 
 bool isReceiveOrdered(const VectorClocks& clocks, const Groups& groups) {
   for (const auto& group : groups) {
-    if (!pairwiseOrdered(
-            clocks, groupEventsOfKind(clocks.computation(), group, true))) {
+    if (!analyze::pairwiseOrdered(
+            clocks,
+            analyze::groupEventsOfKind(clocks.computation(), group, true))) {
       return false;
     }
   }
@@ -91,8 +64,9 @@ bool isReceiveOrdered(const VectorClocks& clocks, const Groups& groups) {
 
 bool isSendOrdered(const VectorClocks& clocks, const Groups& groups) {
   for (const auto& group : groups) {
-    if (!pairwiseOrdered(
-            clocks, groupEventsOfKind(clocks.computation(), group, false))) {
+    if (!analyze::pairwiseOrdered(
+            clocks,
+            analyze::groupEventsOfKind(clocks.computation(), group, false))) {
       return false;
     }
   }
@@ -216,7 +190,7 @@ CpdscResult detectSingularSpecialCase(const VectorClocks& clocks,
   GPD_TRACE_SPAN_NAMED(span, "detect.cpdsc");
   span.attrInt("clauses", static_cast<std::int64_t>(pred.clauses.size()));
   const Groups groups = groupsOfSingularCnf(pred);
-  const auto trueEvents = clauseTrueEvents(trace, pred);
+  const auto trueEvents = analyze::clauseTrueEvents(trace, pred);
   CpdscResult result = scanReceiveOrdered(clocks, groups, trueEvents);
   if (result.applicable()) return result;
   return scanSendOrdered(clocks, groups, trueEvents);

@@ -263,6 +263,18 @@ SkeletonPruning pruneSingularOdometer(const VectorClocks& clocks,
   return out;
 }
 
+// The classifier's per-clause chain covers in the enumeration's form.
+std::vector<std::vector<Chain>> plannedCovers(
+    const analyze::CnfClassification& cls) {
+  std::vector<std::vector<Chain>> covers(cls.clauses.size());
+  for (std::size_t j = 0; j < cls.clauses.size(); ++j) {
+    for (const std::vector<EventId>& chain : cls.clauses[j].cover) {
+      covers[j].push_back(Chain{chain});
+    }
+  }
+  return covers;
+}
+
 // Feeds the planner-accuracy metrics once a predicted enumeration step has
 // actually run: predicted vs observed CPDHB invocations, plus their
 // absolute error in the plan_vs_actual histogram.
@@ -528,12 +540,19 @@ Detection Detector::possibly(const CnfPredicate& pred,
             if (pruning.unsatisfiable) return exactRun(Outcome::No);
             const std::vector<char>* admitted =
                 pruning.active ? &pruning.admitted : nullptr;
-            const SingularCnfResult res =
-                step.algorithm == analyze::Algorithm::SingularChainCover
-                    ? detectSingularByChainCover(clocks_, *trace_, pred,
-                                                 &budget, pool_, admitted)
-                    : detectSingularByProcessEnumeration(
-                          clocks_, *trace_, pred, &budget, pool_, admitted);
+            SingularCnfResult res;
+            if (step.algorithm ==
+                analyze::Algorithm::SingularProcessEnumeration) {
+              res = detectSingularByProcessEnumeration(
+                  clocks_, *trace_, pred, &budget, pool_, admitted);
+            } else if (admitted == nullptr && cls != nullptr) {
+              // The planner covered the same clause-true events already.
+              res = detectSingularByChainCover(clocks_, plannedCovers(*cls),
+                                               &budget, pool_);
+            } else {
+              res = detectSingularByChainCover(clocks_, *trace_, pred,
+                                               &budget, pool_, admitted);
+            }
             if (res.found) return exactRun(Outcome::Yes, res.cut);
             if (!res.complete) return stoppedRun();
             return exactRun(Outcome::No);

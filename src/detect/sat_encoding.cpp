@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "detect/singular_cnf.h"
+#include "analyze/classify.h"
 #include "sat/dpll.h"
 #include "util/check.h"
 
@@ -14,7 +14,7 @@ SatEncodingResult detectSingularViaSat(const VectorClocks& clocks,
   GPD_CHECK_MSG(pred.isSingular(), "predicate is not singular");
   SatEncodingResult result;
 
-  const auto groups = clauseTrueEvents(trace, pred);
+  const auto groups = analyze::clauseTrueEvents(trace, pred);
   // Flatten candidates and remember their group.
   std::vector<EventId> candidate;
   std::vector<int> groupOf;

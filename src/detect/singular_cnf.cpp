@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
-#include "graph/chains.h"
+#include "analyze/classify.h"
+#include "clocks/chain_cover.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -233,29 +234,6 @@ SingularCnfResult enumerateSelections(const VectorClocks& clocks,
 
 }  // namespace
 
-std::vector<std::vector<EventId>> clauseTrueEvents(
-    const VariableTrace& trace, const CnfPredicate& pred,
-    const std::vector<char>* admittedNode) {
-  const Computation& comp = trace.computation();
-  std::vector<std::vector<EventId>> out(pred.clauses.size());
-  for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
-    for (ProcessId p : pred.clauseProcesses(static_cast<int>(j))) {
-      for (int i = 0; i < comp.eventCount(p); ++i) {
-        if (admittedNode != nullptr && !(*admittedNode)[comp.node({p, i})]) {
-          continue;  // sliced out: no satisfying cut passes through it
-        }
-        for (const BoolLiteral& l : pred.clauses[j]) {
-          if (l.process == p && l.holds(trace, i)) {
-            out[j].push_back({p, i});
-            break;
-          }
-        }
-      }
-    }
-  }
-  return out;
-}
-
 SingularCnfResult detectSingularByProcessEnumeration(
     const VectorClocks& clocks, const VariableTrace& trace,
     const CnfPredicate& pred, control::Budget* budget, par::Pool* pool,
@@ -263,7 +241,8 @@ SingularCnfResult detectSingularByProcessEnumeration(
   GPD_CHECK_MSG(pred.isSingular(), "predicate is not singular");
   GPD_TRACE_SPAN_NAMED(span, "detect.process_enumeration");
   span.attrInt("clauses", static_cast<std::int64_t>(pred.clauses.size()));
-  const auto trueEvents = clauseTrueEvents(trace, pred, admittedNode);
+  const auto trueEvents =
+      analyze::clauseTrueEvents(trace, pred, admittedNode);
   // Group j's options: one chain per hosting process (per-process true
   // events are totally ordered by the process order).
   std::vector<std::vector<Chain>> options(pred.clauses.size());
@@ -283,18 +262,11 @@ std::vector<std::vector<Chain>> clauseChainCovers(
     const VectorClocks& clocks, const VariableTrace& trace,
     const CnfPredicate& pred, const std::vector<char>* admittedNode) {
   GPD_TRACE_SPAN("detect.chain_cover");
-  const auto trueEvents = clauseTrueEvents(trace, pred, admittedNode);
+  const auto trueEvents = analyze::clauseTrueEvents(trace, pred, admittedNode);
   std::vector<std::vector<Chain>> covers(pred.clauses.size());
   for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
-    const auto& events = trueEvents[j];
-    const auto chains = graph::minimumChainCover(
-        static_cast<int>(events.size()), [&](int a, int b) {
-          return !(events[a] == events[b]) && clocks.leq(events[a], events[b]);
-        });
-    for (const auto& chain : chains) {
-      Chain c;
-      for (int idx : chain) c.events.push_back(events[idx]);
-      covers[j].push_back(std::move(c));
+    for (std::vector<EventId>& chain : chainCover(clocks, trueEvents[j])) {
+      covers[j].push_back(Chain{std::move(chain)});
     }
   }
   return covers;
@@ -305,11 +277,17 @@ SingularCnfResult detectSingularByChainCover(
     const CnfPredicate& pred, control::Budget* budget, par::Pool* pool,
     const std::vector<char>* admittedNode) {
   GPD_CHECK_MSG(pred.isSingular(), "predicate is not singular");
-  GPD_TRACE_SPAN_NAMED(span, "detect.chain_cover_enumeration");
-  span.attrInt("clauses", static_cast<std::int64_t>(pred.clauses.size()));
-  return enumerateSelections(
+  return detectSingularByChainCover(
       clocks, clauseChainCovers(clocks, trace, pred, admittedNode), budget,
       pool);
+}
+
+SingularCnfResult detectSingularByChainCover(
+    const VectorClocks& clocks, const std::vector<std::vector<Chain>>& covers,
+    control::Budget* budget, par::Pool* pool) {
+  GPD_TRACE_SPAN_NAMED(span, "detect.chain_cover_enumeration");
+  span.attrInt("clauses", static_cast<std::int64_t>(covers.size()));
+  return enumerateSelections(clocks, covers, budget, pool);
 }
 
 }  // namespace gpd::detect

@@ -13,7 +13,10 @@
 //      messages order true events across the group's processes).
 //
 // Both reduce to the chain-generalized CPDHB scan in detect/cpdhb.h, and
-// both find a witness cut when the predicate possibly holds.
+// both find a witness cut when the predicate possibly holds. The clause
+// true events come from analyze::clauseTrueEvents and the covers from
+// clocks/chain_cover.h — the classifier's copies, so the Detector can hand
+// the planner's covers to (b) instead of building them a second time.
 #pragma once
 
 #include <cstdint>
@@ -41,18 +44,6 @@ struct SingularCnfResult {
   bool complete = true;
 };
 
-// For each clause, the events on the clause's processes at which the clause
-// is true (i.e., some literal of the clause holds). A cut satisfies the
-// predicate iff it passes through one such event per clause (Observation 1).
-// `admittedNode` (Computation::node-indexed, optional) drops events outside
-// an admitted set — the slice-first odometer pruning: an event excluded from
-// the regular skeleton's slice lies in no satisfying cut, so no selection
-// through it can succeed (the verdict is preserved; the witness may move to
-// a different, equally valid selection).
-std::vector<std::vector<EventId>> clauseTrueEvents(
-    const VariableTrace& trace, const CnfPredicate& pred,
-    const std::vector<char>* admittedNode = nullptr);
-
 // Sec. 3.3(a). Requires pred.isSingular(). The budget is charged one
 // combination per CPDHB invocation; on exhaustion the result carries
 // complete=false and the selections tried so far.
@@ -73,15 +64,24 @@ SingularCnfResult detectSingularByProcessEnumeration(
     const std::vector<char>* admittedNode = nullptr);
 
 // Sec. 3.3(b). Requires pred.isSingular(). Budgeted and parallelized
-// like (a).
+// like (a). Covers the clause-true events (admitted ones only, with a
+// mask) with clauseChainCovers and enumerates them.
 SingularCnfResult detectSingularByChainCover(
     const VectorClocks& clocks, const VariableTrace& trace,
     const CnfPredicate& pred, control::Budget* budget = nullptr,
     par::Pool* pool = nullptr,
     const std::vector<char>* admittedNode = nullptr);
 
-// Minimum chain covers of each clause's true events; exposed for the A1
-// ablation bench (cover sizes vs group sizes).
+// Sec. 3.3(b) over covers already built, one per clause of a singular CNF
+// in clause order — e.g. the planner's (analyze::ClauseFacts::cover), which
+// are the covers the overload above would build without a mask.
+SingularCnfResult detectSingularByChainCover(
+    const VectorClocks& clocks, const std::vector<std::vector<Chain>>& covers,
+    control::Budget* budget = nullptr, par::Pool* pool = nullptr);
+
+// Minimum chain covers (clocks/chain_cover.h) of each clause's
+// analyze::clauseTrueEvents; exposed for the A1 ablation bench (cover sizes
+// vs group sizes).
 std::vector<std::vector<Chain>> clauseChainCovers(
     const VectorClocks& clocks, const VariableTrace& trace,
     const CnfPredicate& pred,

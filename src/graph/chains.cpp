@@ -1,25 +1,18 @@
 #include "graph/chains.h"
 
-#include "graph/matching.h"
 #include "util/check.h"
 
 namespace gpd::graph {
 
-std::vector<std::vector<int>> minimumChainCover(
-    int n, const std::function<bool(int, int)>& precedes) {
+std::vector<std::vector<int>> minimumChainCover(const RangeRows& successors) {
+  const int n = successors.rows();
   GPD_CHECK(n >= 0);
   if (n == 0) return {};
   // Fulkerson's construction: bipartite graph with left copy a and right copy
   // b joined when a ≺ b; each matched edge fuses two chain fragments. Because
-  // `precedes` is transitive the matched successor relation yields valid
-  // chains directly.
-  std::vector<std::vector<int>> adj(n);
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      if (a != b && precedes(a, b)) adj[a].push_back(b);
-    }
-  }
-  const MatchingResult m = maximumBipartiteMatching(n, n, adj);
+  // ≺ is transitive the matched successor relation yields valid chains
+  // directly.
+  const MatchingResult m = maximumBipartiteMatching(successors, n);
 
   std::vector<std::vector<int>> chains;
   std::vector<char> isChainHead(n, 1);

@@ -4,20 +4,22 @@
 // minimum set of chains and enumerates one chain per group; the number of
 // CPDHB invocations is the product of the cover sizes, which is never worse
 // than the k^m process-enumeration bound because a group's events on one
-// process already form a chain.
+// process already form a chain. clocks/chain_cover.h builds the successor
+// rows of a set of events from their vector clocks.
 #pragma once
 
-#include <functional>
 #include <vector>
+
+#include "graph/matching.h"
 
 namespace gpd::graph {
 
-// `precedes(a, b)` must implement a strict partial order on {0, …, n-1}
-// (irreflexive, transitive). Returns a partition of {0, …, n-1} into the
-// minimum number of chains; each chain is listed in increasing order
-// (consecutive members satisfy precedes). By Dilworth's theorem the cover
-// size equals the maximum antichain size.
-std::vector<std::vector<int>> minimumChainCover(
-    int n, const std::function<bool(int, int)>& precedes);
+// Row a of `successors` lists the b with a ≺ b, where ≺ must be a strict
+// partial order on {0, …, n-1} (irreflexive, transitive) and n is
+// successors.rows(). Returns a partition of {0, …, n-1} into the minimum
+// number of chains; each chain is listed in increasing order (consecutive
+// members satisfy ≺). By Dilworth's theorem the cover size equals the
+// maximum antichain size. The chains depend on the order of the ranges.
+std::vector<std::vector<int>> minimumChainCover(const RangeRows& successors);
 
 }  // namespace gpd::graph

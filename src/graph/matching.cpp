@@ -1,7 +1,6 @@
 #include "graph/matching.h"
 
 #include <limits>
-#include <queue>
 
 #include "util/check.h"
 
@@ -12,31 +11,33 @@ namespace {
 constexpr int kInf = std::numeric_limits<int>::max();
 
 struct HopcroftKarp {
-  const std::vector<std::vector<int>>& adj;
+  const RangeRows& rows;
   std::vector<int>& pairL;
   std::vector<int>& pairR;
   std::vector<int> dist;
+  std::vector<int> queue;  // FIFO: pushed at the back, read from `head`
 
   bool bfs() {
-    std::queue<int> q;
+    queue.clear();
     dist.assign(pairL.size(), kInf);
     for (std::size_t l = 0; l < pairL.size(); ++l) {
       if (pairL[l] < 0) {
         dist[l] = 0;
-        q.push(static_cast<int>(l));
+        queue.push_back(static_cast<int>(l));
       }
     }
     bool foundAugmenting = false;
-    while (!q.empty()) {
-      const int l = q.front();
-      q.pop();
-      for (int r : adj[l]) {
-        const int l2 = pairR[r];
-        if (l2 < 0) {
-          foundAugmenting = true;
-        } else if (dist[l2] == kInf) {
-          dist[l2] = dist[l] + 1;
-          q.push(l2);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const int l = queue[head];
+      for (int k = rows.rowStart[l]; k < rows.rowStart[l + 1]; ++k) {
+        for (int r = rows.ranges[k].begin; r < rows.ranges[k].end; ++r) {
+          const int l2 = pairR[r];
+          if (l2 < 0) {
+            foundAugmenting = true;
+          } else if (dist[l2] == kInf) {
+            dist[l2] = dist[l] + 1;
+            queue.push_back(l2);
+          }
         }
       }
     }
@@ -44,12 +45,14 @@ struct HopcroftKarp {
   }
 
   bool dfs(int l) {
-    for (int r : adj[l]) {
-      const int l2 = pairR[r];
-      if (l2 < 0 || (dist[l2] == dist[l] + 1 && dfs(l2))) {
-        pairL[l] = r;
-        pairR[r] = l;
-        return true;
+    for (int k = rows.rowStart[l]; k < rows.rowStart[l + 1]; ++k) {
+      for (int r = rows.ranges[k].begin; r < rows.ranges[k].end; ++r) {
+        const int l2 = pairR[r];
+        if (l2 < 0 || (dist[l2] == dist[l] + 1 && dfs(l2))) {
+          pairL[l] = r;
+          pairR[r] = l;
+          return true;
+        }
       }
     }
     dist[l] = kInf;
@@ -59,16 +62,18 @@ struct HopcroftKarp {
 
 }  // namespace
 
-MatchingResult maximumBipartiteMatching(
-    int nLeft, int nRight, const std::vector<std::vector<int>>& adj) {
-  GPD_CHECK(static_cast<int>(adj.size()) == nLeft);
-  for (const auto& row : adj) {
-    for (int r : row) GPD_CHECK(r >= 0 && r < nRight);
+MatchingResult maximumBipartiteMatching(const RangeRows& rows, int nRight) {
+  const int nLeft = rows.rows();
+  GPD_CHECK(nLeft >= 0 && nRight >= 0);
+  GPD_CHECK(rows.rowStart.back() == static_cast<int>(rows.ranges.size()));
+  for (const IndexRange& range : rows.ranges) {
+    GPD_CHECK(0 <= range.begin && range.begin < range.end &&
+              range.end <= nRight);
   }
   MatchingResult res;
   res.pairLeft.assign(nLeft, -1);
   res.pairRight.assign(nRight, -1);
-  HopcroftKarp hk{adj, res.pairLeft, res.pairRight, {}};
+  HopcroftKarp hk{rows, res.pairLeft, res.pairRight, {}, {}};
   while (hk.bfs()) {
     for (int l = 0; l < nLeft; ++l) {
       if (res.pairLeft[l] < 0 && hk.dfs(l)) ++res.size;

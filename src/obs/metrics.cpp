@@ -18,6 +18,7 @@ namespace {
 // GPD_OBS_DISABLED build still renders the inventory (all zeros).
 constexpr const char* kCounterInventory[] = {
     "budget_clock_reads",        // steady-clock reads by control::Budget
+    "chain_covers_built",        // Dilworth chain covers built (clocks)
     "cpdhb_combinations",        // Sec. 3.3 enumeration selections tried
     "cpdhb_comparisons",         // succLeq head comparisons inside CPDHB
     "cpdhb_invocations",         // findConsistentSelection calls

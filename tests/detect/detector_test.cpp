@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "computation/random.h"
+#include "detect_test_util.h"
 #include "lattice/explore.h"
 #include "predicates/random_trace.h"
 
@@ -258,6 +259,90 @@ TEST(DetectorTest, FacadeMatchesLatticeEverywhere) {
     }).witness.has_value();
     EXPECT_EQ(det.possibly(cnf).has_value(), expected) << "trial " << trial;
   }
+}
+
+// A query routed to singular-chain-cover without skeleton pruning hands the
+// planner's covers to the enumeration. It must scan exactly what the
+// kernel scans when it covers the clause-true events itself: same verdict,
+// witness, selections tried and enumeration space, with and without a pool.
+TEST(DetectorTest, SharedCoverMatchesRecomputedCover) {
+  par::Pool pool(4);
+  int checked = 0;
+  int found = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng rng(seed);
+    GroupedComputationOptions opt;
+    opt.groups = 2 + static_cast<int>(rng.index(2));
+    opt.groupSize = 2 + static_cast<int>(rng.index(2));
+    opt.eventsPerProcess = 3 + static_cast<int>(rng.index(4));
+    opt.messageProbability = 0.8;
+    const Computation c = randomGroupedComputation(opt, rng);
+    VariableTrace trace(c);
+    defineRandomBools(trace, "x", 0.05 + 0.2 * rng.real(), rng);
+    const CnfPredicate pred =
+        testing::randomSingularKCnf(opt.groups, opt.groupSize, "x", rng);
+    Detector det(trace);
+    const SingularCnfResult kernel =
+        detectSingularByChainCover(det.clocks(), trace, pred);
+    for (par::Pool* p : {static_cast<par::Pool*>(nullptr), &pool}) {
+      det.usePool(p);
+      control::Budget unlimited;
+      const Detection got = det.possibly(pred, unlimited);
+      if (got.algorithm != "singular-chain-cover") break;
+      ASSERT_FALSE(det.lastSlice().has_value()) << "seed " << seed;
+      const std::string where =
+          "seed " + std::to_string(seed) + (p != nullptr ? " pooled" : "");
+      EXPECT_EQ(got.outcome, kernel.found ? Outcome::Yes : Outcome::No)
+          << where;
+      EXPECT_EQ(got.witness, kernel.cut) << where;
+      EXPECT_EQ(got.progress.combinationsTried, kernel.combinationsTried)
+          << where;
+      EXPECT_EQ(det.lastReport().chosen().predictedCpdhbInvocations,
+                kernel.combinationsTotal)
+          << where;
+      ++checked;
+      found += kernel.found;
+    }
+  }
+  EXPECT_GE(checked, 100) << "too few seeds routed to singular-chain-cover";
+  EXPECT_GT(found, 0);
+  EXPECT_LT(found, checked);
+}
+
+// With the skeleton pruning active the enumeration covers the admitted
+// events only, so the detector builds that cover itself. Its verdict still
+// matches the unpruned kernel's.
+TEST(DetectorTest, PrunedQueryRebuildsItsCover) {
+  int pruned = 0;
+  for (std::uint64_t seed = 1; seed <= 40 && pruned == 0; ++seed) {
+    Rng rng(seed);
+    GroupedComputationOptions opt;
+    opt.groups = 5;
+    opt.groupSize = 3;
+    opt.eventsPerProcess = 6;
+    opt.messageProbability = 0.2;
+    const Computation c = randomGroupedComputation(opt, rng);
+    VariableTrace trace(c);
+    defineRandomBools(trace, "x", 0.4, rng);
+    CnfPredicate pred = testing::randomSingularKCnf(4, 3, "x", rng);
+    pred.clauses.push_back({{12, "x", true}});
+    Detector det(trace);
+    control::Budget unlimited;
+    const Detection got = det.possibly(pred, unlimited);
+    if (got.algorithm != "singular-chain-cover" || !det.lastSlice() ||
+        !det.lastSlice()->usedSlice) {
+      continue;
+    }
+    ++pruned;
+    const SingularCnfResult kernel =
+        detectSingularByChainCover(det.clocks(), trace, pred);
+    ASSERT_EQ(got.outcome, kernel.found ? Outcome::Yes : Outcome::No)
+        << "seed " << seed;
+    if (got.witness) {
+      EXPECT_TRUE(pred.holdsAtCut(trace, *got.witness)) << "seed " << seed;
+    }
+  }
+  EXPECT_EQ(pruned, 1) << "no seed activated the skeleton pruning";
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analyze/classify.h"
 #include "computation/random.h"
 #include "detect_test_util.h"
 #include "predicates/random_trace.h"
@@ -37,7 +38,7 @@ TEST(SingularCnfTest, ClauseTrueEventsMergesLiterals) {
   trace.defineBool(1, "y", {true, false});
   CnfPredicate pred;
   pred.clauses = {{{0, "x", true}, {1, "y", true}}};
-  const auto events = clauseTrueEvents(trace, pred);
+  const auto events = analyze::clauseTrueEvents(trace, pred);
   ASSERT_EQ(events.size(), 1u);
   // (0,1) makes x true; (1,0) makes y true.
   EXPECT_EQ(events[0], (std::vector<EventId>{{0, 1}, {1, 0}}));
@@ -133,7 +134,7 @@ TEST(SingularCnfTest, ChainCoverIsValidPartition) {
     const CnfPredicate pred = randomSingularKCnf(2, 3, "x", rng);
     const VectorClocks vc(c);
     const auto covers = clauseChainCovers(vc, trace, pred);
-    const auto trueEvents = clauseTrueEvents(trace, pred);
+    const auto trueEvents = analyze::clauseTrueEvents(trace, pred);
     ASSERT_EQ(covers.size(), trueEvents.size());
     for (std::size_t j = 0; j < covers.size(); ++j) {
       std::size_t covered = 0;

@@ -30,20 +30,35 @@ std::function<bool(int, int)> oracle(const Reachability& r) {
   return [&r](int a, int b) { return r.reaches(a, b); };
 }
 
+// Row a lists every b ≠ a with precedes(a, b), one unit range each.
+RangeRows unitRows(int n, const std::function<bool(int, int)>& precedes) {
+  RangeRows rows;
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      if (a != b && precedes(a, b)) rows.add(b, b + 1);
+    }
+    rows.endRow();
+  }
+  return rows;
+}
+
+std::vector<std::vector<int>> cover(
+    int n, const std::function<bool(int, int)>& precedes) {
+  return minimumChainCover(unitRows(n, precedes));
+}
+
 TEST(ChainCoverTest, EmptyPoset) {
-  EXPECT_TRUE(minimumChainCover(0, [](int, int) { return false; }).empty());
+  EXPECT_TRUE(cover(0, [](int, int) { return false; }).empty());
 }
 
 TEST(ChainCoverTest, TotalOrderIsOneChain) {
-  const auto chains =
-      minimumChainCover(5, [](int a, int b) { return a < b; });
+  const auto chains = cover(5, [](int a, int b) { return a < b; });
   ASSERT_EQ(chains.size(), 1u);
   EXPECT_EQ(chains[0], (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ChainCoverTest, AntichainNeedsOneChainEach) {
-  const auto chains =
-      minimumChainCover(4, [](int, int) { return false; });
+  const auto chains = cover(4, [](int, int) { return false; });
   EXPECT_EQ(chains.size(), 4u);
 }
 
@@ -59,7 +74,7 @@ TEST(ChainCoverTest, CoverIsPartitionAndChainsValid) {
     }
     const Reachability reach(g);
     const auto pre = oracle(reach);
-    const auto chains = minimumChainCover(n, pre);
+    const auto chains = cover(n, pre);
     std::vector<int> covered(n, 0);
     for (const auto& chain : chains) {
       for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -86,7 +101,7 @@ TEST(ChainCoverTest, SizeEqualsMaxAntichainDilworth) {
     }
     const Reachability reach(g);
     const auto pre = oracle(reach);
-    const auto chains = minimumChainCover(n, pre);
+    const auto chains = cover(n, pre);
     EXPECT_EQ(static_cast<int>(chains.size()), bruteMaxAntichain(n, pre))
         << "trial " << trial;
   }

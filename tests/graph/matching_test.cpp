@@ -26,14 +26,24 @@ int bruteMaxMatching(int nLeft, int nRight,
   return go(0);
 }
 
+// The lists as rows of unit ranges, in list order.
+RangeRows unitRows(const std::vector<std::vector<int>>& adj) {
+  RangeRows rows;
+  for (const auto& row : adj) {
+    for (int r : row) rows.add(r, r + 1);
+    rows.endRow();
+  }
+  return rows;
+}
+
 TEST(MatchingTest, EmptyGraph) {
-  const auto m = maximumBipartiteMatching(0, 0, {});
+  const auto m = maximumBipartiteMatching(RangeRows{}, 0);
   EXPECT_EQ(m.size, 0);
 }
 
 TEST(MatchingTest, PerfectMatchingOnIdentity) {
   std::vector<std::vector<int>> adj{{0}, {1}, {2}};
-  const auto m = maximumBipartiteMatching(3, 3, adj);
+  const auto m = maximumBipartiteMatching(unitRows(adj), 3);
   EXPECT_EQ(m.size, 3);
   for (int l = 0; l < 3; ++l) EXPECT_EQ(m.pairLeft[l], l);
 }
@@ -41,7 +51,7 @@ TEST(MatchingTest, PerfectMatchingOnIdentity) {
 TEST(MatchingTest, StarGraphMatchesOne) {
   // All left nodes want right node 0.
   std::vector<std::vector<int>> adj{{0}, {0}, {0}};
-  const auto m = maximumBipartiteMatching(3, 1, adj);
+  const auto m = maximumBipartiteMatching(unitRows(adj), 1);
   EXPECT_EQ(m.size, 1);
 }
 
@@ -53,7 +63,7 @@ TEST(MatchingTest, MatchingIsConsistent) {
       if (rng.chance(0.4)) adj[l].push_back(r);
     }
   }
-  const auto m = maximumBipartiteMatching(6, 6, adj);
+  const auto m = maximumBipartiteMatching(unitRows(adj), 6);
   for (int l = 0; l < 6; ++l) {
     if (m.pairLeft[l] >= 0) { EXPECT_EQ(m.pairRight[m.pairLeft[l]], l); }
   }
@@ -73,7 +83,7 @@ TEST(MatchingTest, MatchesBruteForceOnRandomGraphs) {
         if (rng.chance(0.35)) adj[l].push_back(r);
       }
     }
-    const auto m = maximumBipartiteMatching(nL, nR, adj);
+    const auto m = maximumBipartiteMatching(unitRows(adj), nR);
     EXPECT_EQ(m.size, bruteMaxMatching(nL, nR, adj)) << "trial " << trial;
   }
 }

@@ -128,6 +128,62 @@ TEST_F(DetectObsTest, UnbudgetedChainCoverFeedsTheKernelsCombinationCount) {
   EXPECT_GE(checked, 10) << "too few seeds routed to singular-chain-cover";
 }
 
+// chain_covers_built per singular-chain-cover query: without skeleton
+// pruning the planner's cover of each clause feeds the enumeration, so an
+// m-clause query builds m covers, not one for the planner and one for the
+// enumeration.
+TEST_F(DetectObsTest, ChainCoverQueryBuildsOneCoverPerClause) {
+  const CnfPredicate pred = singularCnf();
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Grouped g(rng);
+    detect::Detector det(g.trace);
+    registry().reset();
+    (void)det.possibly(pred);
+    if (det.lastAlgorithm() != "singular-chain-cover") continue;
+    ASSERT_FALSE(det.lastSlice().has_value()) << "seed " << seed;
+    EXPECT_EQ(counterValue("chain_covers_built"), pred.clauses.size())
+        << "seed " << seed;
+    ++checked;
+  }
+  EXPECT_GE(checked, 5);
+}
+
+// With the skeleton pruning active the enumeration covers the admitted
+// events only, so each clause's cover is built a second time.
+TEST_F(DetectObsTest, PrunedChainCoverQueryRebuildsEachCover) {
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 40 && checked == 0; ++seed) {
+    Rng rng(seed);
+    GroupedComputationOptions opt;
+    opt.groups = 5;
+    opt.groupSize = 3;
+    opt.eventsPerProcess = 6;
+    opt.messageProbability = 0.2;
+    const Computation comp = randomGroupedComputation(opt, rng);
+    VariableTrace trace(comp);
+    defineRandomBools(trace, "x", 0.4, rng);
+    CnfPredicate pred;
+    for (int j = 0; j < 4; ++j) {
+      pred.clauses.push_back(
+          {{3 * j, "x", true}, {3 * j + 1, "x", true}, {3 * j + 2, "x", true}});
+    }
+    pred.clauses.push_back({{12, "x", true}});
+    detect::Detector det(trace);
+    registry().reset();
+    (void)det.possibly(pred);
+    if (det.lastAlgorithm() != "singular-chain-cover" ||
+        !det.lastSlice().has_value() || !det.lastSlice()->usedSlice) {
+      continue;
+    }
+    EXPECT_EQ(counterValue("chain_covers_built"), 2 * pred.clauses.size())
+        << "seed " << seed;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 1) << "no seed activated the skeleton pruning";
+}
+
 // flow_closures_solved per query: each sum query solves only the closure
 // sides its relop or Theorem 7 branch needs, and the disjuncts of a
 // symmetric predicate share them.

@@ -106,7 +106,7 @@ TEST(Renderers, TextListsPreRegisteredInventory) {
         "monitor_notifications", "monitor_nacks_sent", "monitor_retransmits",
         "plan_steps_run", "plan_steps_skipped", "plan_predicted_combinations",
         "plan_actual_combinations", "sum_range_precheck_decided",
-        "budget_clock_reads",
+        "budget_clock_reads", "chain_covers_built",
         "frontier_cuts_peak", "frontier_bytes_peak",
         "enumeration_combinations", "plan_vs_actual"}) {
     EXPECT_NE(text.find(name), std::string::npos) << "missing " << name;
