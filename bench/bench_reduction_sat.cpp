@@ -4,8 +4,10 @@
 // verdict must equal DPLL's on every instance, with detection paying the
 // exponential enumeration exactly on unsatisfiable gadgets (the NP-hardness
 // shape).
-// E4: inequality-clause predicates (Corollary 2) lower to singular 2-CNF
-// and are detected by the same machinery.
+// E4: inequality-clause predicates (Corollary 2) are singular 2-CNFs of
+// comparison literals, detected by the Detector's CNF routes.
+//
+// Both GPD_CHECK their verdicts: E3 against DPLL, E4 against the lattice.
 #include "bench_util.h"
 
 int main() {
@@ -17,7 +19,6 @@ int main() {
   Rng rng(777);
   Table e3({"vars", "clauses", "gadget_procs", "verdict", "detect_ms",
             "dpll_ms", "agree"});
-  int agreeAll = 0;
   int total = 0;
   for (int trial = 0; trial < 24; ++trial) {
     const int vars = 3 + static_cast<int>(rng.index(4));
@@ -38,22 +39,21 @@ int main() {
     std::optional<sat::Assignment> viaDpll;
     const double dpllMs =
         bench::timeMs([&] { viaDpll = sat::solveDpll(cnf); });
-    const bool agree = viaDetection.has_value() == viaDpll.has_value();
-    agreeAll += agree;
+    GPD_CHECK_MSG(viaDetection.has_value() == viaDpll.has_value(),
+                  "E3: detection and DPLL disagree on trial " << trial);
     ++total;
     e3.row(vars, clauses, 2 * probe.formula.clauses.size(),
            viaDetection ? "SAT" : "UNSAT", bench::fmtMs(detectMs),
-           bench::fmtMs(dpllMs), agree ? "yes" : "NO");
+           bench::fmtMs(dpllMs), "yes");
   }
   e3.print(std::cout);
-  std::cout << "\nagreement: " << agreeAll << "/" << total
-            << " (must be all)\n\n";
+  std::cout << "\nagreement: " << total << "/" << total << "\n\n";
 
-  bench::banner("E4 / Cor. 2 — inequality clauses via singular 2-CNF",
-                "(x relop a) ∨ (y relop b) conjunctions lowered to derived "
-                "boolean variables and detected; lattice cross-check.");
-  Table e4({"events/proc", "clauses", "lowered_singular", "detect_ms",
-            "lattice_ms", "agree"});
+  bench::banner("E4 / Cor. 2 — inequality clauses as comparison-literal CNF",
+                "(x relop a) ∨ (y relop b) conjunctions detected by the "
+                "Detector's CNF routes; lattice cross-check.");
+  Table e4({"events/proc", "clauses", "route", "detect_ms", "lattice_ms",
+            "agree"});
   for (const int events : {6, 10, 14}) {
     RandomComputationOptions opt;
     opt.processes = 6;
@@ -63,29 +63,29 @@ int main() {
     const Computation comp = randomComputation(opt, local);
     VariableTrace trace(comp);
     defineRandomCounters(trace, "v", 0, 2, local);
-    IneqClausePredicate pred;
+    CnfPredicate pred;
     const Relop ops[] = {Relop::Less, Relop::LessEq, Relop::Greater,
                          Relop::GreaterEq, Relop::NotEqual};
     for (int g = 0; g < 3; ++g) {
       pred.clauses.push_back(
-          {{2 * g, "v", ops[local.index(5)], local.uniform(4, 7)},
-           {2 * g + 1, "v", ops[local.index(5)], local.uniform(4, 7)}});
+          {{2 * g, "v", true, ops[local.index(5)], local.uniform(4, 7)},
+           {2 * g + 1, "v", true, ops[local.index(5)], local.uniform(4, 7)}});
     }
-    const CnfPredicate lowered = lowerToCnf(trace, pred);
-    const VectorClocks clocks(comp);
-    detect::SingularCnfResult res;
-    const double detectMs = bench::timeMs([&] {
-      res = detect::detectSingularByChainCover(clocks, trace, lowered);
-    });
+    detect::Detector detector(trace);
+    std::optional<Cut> witness;
+    const double detectMs =
+        bench::timeMs([&] { witness = detector.possibly(pred); });
     bool latticeFound = false;
     const double latticeMs = bench::timeMs([&] {
-      latticeFound = lattice::findSatisfyingCut(clocks, [&](const Cut& c) {
-        return pred.holdsAtCut(trace, c);
-      }).witness.has_value();
+      latticeFound =
+          lattice::findSatisfyingCut(detector.clocks(), pred.bind(trace))
+              .witness.has_value();
     });
-    e4.row(events, pred.clauses.size(), lowered.isSingular() ? "yes" : "NO",
-           bench::fmtMs(detectMs), bench::fmtMs(latticeMs),
-           res.found == latticeFound ? "yes" : "NO");
+    GPD_CHECK_MSG(witness.has_value() == latticeFound,
+                  "E4: detector and lattice disagree at " << events
+                                                          << " events");
+    e4.row(events, pred.clauses.size(), detector.lastAlgorithm(),
+           bench::fmtMs(detectMs), bench::fmtMs(latticeMs), "yes");
   }
   e4.print(std::cout);
   return 0;

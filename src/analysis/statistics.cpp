@@ -4,6 +4,7 @@
 
 #include "clocks/chain_cover.h"
 #include "clocks/lamport.h"
+#include "graph/chains.h"
 #include "util/check.h"
 
 namespace gpd::analysis {
@@ -25,20 +26,20 @@ ComputationStats computeStats(const VectorClocks& clocks) {
   for (ProcessId p = 0; p < comp.processCount(); ++p) {
     for (int i = 1; i < comp.eventCount(p); ++i) events.push_back({p, i});
   }
+  // Each event's successor row holds the events it precedes, so the rows
+  // give both the width (Dilworth: the minimum chain cover's size) and the
+  // comparable pairs — every other pair of distinct events is concurrent.
+  const graph::RangeRows rows = successorRows(clocks, events);
   if (!events.empty()) {
-    // Dilworth: the minimum chain cover has the width's size.
-    stats.width = static_cast<int>(chainCover(clocks, events).size());
+    stats.width = static_cast<int>(graph::minimumChainCover(rows).size());
   }
-
-  // Concurrency index over distinct non-initial pairs.
-  std::uint64_t concurrent = 0;
-  std::uint64_t pairs = 0;
-  for (std::size_t a = 0; a < events.size(); ++a) {
-    for (std::size_t b = a + 1; b < events.size(); ++b) {
-      ++pairs;
-      concurrent += clocks.concurrent(events[a], events[b]);
-    }
+  std::uint64_t comparable = 0;
+  for (const graph::IndexRange& r : rows.ranges) {
+    comparable += static_cast<std::uint64_t>(r.end - r.begin);
   }
+  const std::uint64_t n = events.size();
+  const std::uint64_t pairs = n * (n - 1) / 2;  // 0 when n = 0
+  const std::uint64_t concurrent = pairs - comparable;
   stats.concurrencyIndex =
       pairs == 0 ? 0.0 : static_cast<double>(concurrent) / pairs;
 

@@ -65,30 +65,14 @@ std::vector<std::vector<EventId>> clauseTrueEvents(
     const std::vector<char>* admittedNode) {
   const Computation& comp = trace.computation();
   std::vector<std::vector<EventId>> out(pred.clauses.size());
-  struct Column {
-    const std::vector<std::int64_t>* values;
-    bool positive;
-  };
-  std::vector<Column> literals;
   for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
     for (ProcessId p : pred.clauseProcesses(static_cast<int>(j))) {
-      // The clause's literals on p, each resolved to its column once.
-      literals.clear();
-      for (const BoolLiteral& l : pred.clauses[j]) {
-        if (l.process == p) {
-          literals.push_back({&trace.column(p, l.var), l.positive});
-        }
-      }
+      const std::vector<char> truth = eventTruth(trace, p, pred.clauses[j]);
       for (int i = 0; i < comp.eventCount(p); ++i) {
         if (admittedNode != nullptr && !(*admittedNode)[comp.node({p, i})]) {
           continue;  // sliced out: no satisfying cut passes through it
         }
-        for (const Column& l : literals) {
-          if (((*l.values)[i] != 0) == l.positive) {
-            out[j].push_back({p, i});
-            break;
-          }
-        }
+        if (truth[i]) out[j].push_back({p, i});
       }
     }
   }

@@ -106,7 +106,7 @@ AnalysisReport planConjunctive(const VectorClocks& clocks,
     std::ostringstream os;
     for (std::size_t i = 0; i < pred.terms.size(); ++i) {
       if (i > 0) os << " ∧ ";
-      os << pred.terms[i].label;
+      os << pred.terms[i].label();
     }
     report.predicate = os.str();
   }
@@ -162,19 +162,10 @@ AnalysisReport planCnf(const VectorClocks& clocks, const VariableTrace& trace,
       }
       for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
         if (cls.clauses[j].processes.size() != 1) continue;
+        // A single-process clause's true events are its true levels.
         const ProcessId p = cls.clauses[j].processes.front();
-        int trueLevels = 0;
-        for (int i = 0; i < comp.eventCount(p); ++i) {
-          bool holds = false;
-          for (const BoolLiteral& l : pred.clauses[j]) {
-            if (l.holds(trace, i)) {
-              holds = true;
-              break;
-            }
-          }
-          trueLevels += holds;
-        }
-        levelCounts[p] = std::min(levelCounts[p], trueLevels);
+        levelCounts[p] =
+            std::min(levelCounts[p], cls.clauses[j].trueEventCount);
       }
       std::uint64_t predicted = 1;
       bool saturated = false;

@@ -8,9 +8,8 @@
 
 namespace gpd {
 
-std::vector<std::vector<EventId>> chainCover(
-    const VectorClocks& clocks, const std::vector<EventId>& events) {
-  GPD_OBS_COUNTER_ADD("chain_covers_built", 1);
+graph::RangeRows successorRows(const VectorClocks& clocks,
+                               const std::vector<EventId>& events) {
   const int n = static_cast<int>(events.size());
   // Runs of one process each: positions [begin, end) of `events`.
   struct Run {
@@ -52,9 +51,15 @@ std::vector<std::vector<EventId>> chainCover(
     }
     rows.endRow();
   }
+  return rows;
+}
 
+std::vector<std::vector<EventId>> chainCover(
+    const VectorClocks& clocks, const std::vector<EventId>& events) {
+  GPD_OBS_COUNTER_ADD("chain_covers_built", 1);
   std::vector<std::vector<EventId>> cover;
-  for (const std::vector<int>& chain : graph::minimumChainCover(rows)) {
+  for (const std::vector<int>& chain :
+       graph::minimumChainCover(successorRows(clocks, events))) {
     std::vector<EventId>& out = cover.emplace_back();
     out.reserve(chain.size());
     for (int idx : chain) out.push_back(events[idx]);

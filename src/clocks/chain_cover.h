@@ -15,8 +15,15 @@
 
 #include "clocks/vector_clock.h"
 #include "computation/event.h"
+#include "graph/matching.h"
 
 namespace gpd {
+
+// Row a lists the positions b ≠ a of `events` with events[a] ≤ events[b]:
+// at most one range per process run, in the order the pairwise test over
+// the set would visit them. Same precondition (checked) as chainCover.
+graph::RangeRows successorRows(const VectorClocks& clocks,
+                               const std::vector<EventId>& events);
 
 // The minimum cover of `events` by causal chains, each chain listed in
 // causal order. The chains are graph::minimumChainCover's over the

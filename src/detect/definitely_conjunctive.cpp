@@ -8,12 +8,12 @@ namespace gpd::detect {
 
 std::vector<TrueInterval> trueIntervals(const VariableTrace& trace,
                                         const LocalPredicate& pred) {
-  const Computation& comp = trace.computation();
+  const std::vector<char> truth = eventTruth(trace, pred.process, {&pred, 1});
+  const int count = static_cast<int>(truth.size());
   std::vector<TrueInterval> out;
-  const int count = comp.eventCount(pred.process);
   int start = -1;
   for (int i = 0; i <= count; ++i) {
-    const bool holds = i < count && pred.holds(trace, i);
+    const bool holds = i < count && truth[i];
     if (holds && start < 0) start = i;
     if (!holds && start >= 0) {
       out.push_back({{pred.process, start}, {pred.process, i - 1}});

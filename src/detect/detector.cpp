@@ -100,41 +100,56 @@ std::vector<Cut> topologicalRun(const Computation& comp) {
 // means p hosts no single-process clause (unconstrained by the skeleton).
 std::vector<std::vector<char>> skeletonTruth(const VariableTrace& trace,
                                              const CnfPredicate& pred) {
-  const Computation& comp = trace.computation();
-  std::vector<std::vector<char>> ok(comp.processCount());
+  std::vector<std::vector<char>> ok(trace.computation().processCount());
   for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
     const std::vector<ProcessId> procs =
         pred.clauseProcesses(static_cast<int>(j));
     if (procs.size() != 1) continue;
     const ProcessId p = procs[0];
-    if (ok[p].empty()) ok[p].assign(comp.eventCount(p), 1);
-    for (int i = 0; i < comp.eventCount(p); ++i) {
-      bool holds = false;
-      for (const BoolLiteral& l : pred.clauses[j]) {
-        if (l.holds(trace, i)) {
-          holds = true;
-          break;
-        }
-      }
-      if (!holds) ok[p][i] = 0;
+    const std::vector<char> truth = eventTruth(trace, p, pred.clauses[j]);
+    if (ok[p].empty()) {
+      ok[p] = truth;
+      continue;
     }
+    for (std::size_t i = 0; i < truth.size(); ++i) ok[p][i] &= truth[i];
   }
   return ok;
 }
 
-// Linearity oracle for the skeleton: a process whose hosted single-process
-// clause is false at the cut's frontier is forbidden (the clause depends on
-// that one coordinate only, so any satisfying extension must advance it).
-// The skeleton is regular by construction — each clause's cut set is closed
-// under per-coordinate min/max — so slicing on this oracle is sound without
-// the join-closure check.
-ForbiddenFn skeletonOracle(const std::vector<std::vector<char>>& ok) {
-  return [&ok](const Cut& cut) -> std::optional<ProcessId> {
+// Slices the computation on the CNF's regular skeleton. A process whose
+// hosted single-process clause is false at the cut's frontier is forbidden
+// (the clause depends on that one coordinate only, so any satisfying
+// extension must advance it). The skeleton is regular by construction —
+// each clause's cut set is closed under per-coordinate min/max — so slicing
+// is sound without the join-closure check. Records the build in `strace`
+// and the slice_* counters; a slice the budget stopped excludes nothing.
+Slice buildSkeletonSlice(const VectorClocks& clocks, const VariableTrace& trace,
+                         const CnfPredicate& pred, control::Budget* budget,
+                         SliceTrace& strace) {
+  strace.eventsTotal =
+      static_cast<std::uint64_t>(trace.computation().totalEvents());
+  const std::vector<std::vector<char>> ok = skeletonTruth(trace, pred);
+  const ForbiddenFn oracle = [&ok](const Cut& cut) -> std::optional<ProcessId> {
     for (ProcessId p = 0; p < static_cast<ProcessId>(ok.size()); ++p) {
       if (!ok[p].empty() && !ok[p][cut.last[p]]) return p;
     }
     return std::nullopt;
   };
+  SliceOptions sopts;
+  sopts.budget = budget;
+  sopts.verifyRegular = false;  // regular by construction
+  Stopwatch watch;
+  Slice slice = computeSlice(clocks, oracle, sopts);
+  strace.buildNanos = watch.elapsedNanos();
+  strace.oracleCalls = slice.oracleCalls;
+  GPD_OBS_COUNTER_ADD("slice_prepasses", 1);
+  GPD_OBS_HISTOGRAM("slice_build_nanos", strace.buildNanos);
+  if (slice.complete) {
+    strace.eventsExcluded =
+        slice.satisfiable ? slice.excludedEvents() : strace.eventsTotal;
+    GPD_OBS_COUNTER_ADD("slice_events_excluded", strace.eventsExcluded);
+  }
+  return slice;
 }
 
 // The slice-first pre-pass (planner Algorithm::SliceFirst): slice the
@@ -150,28 +165,14 @@ StepRun runSliceFirst(const VectorClocks& clocks, const VariableTrace& trace,
                       par::Pool* pool, control::Budget* budget,
                       SliceTrace& strace) {
   const Computation& comp = trace.computation();
-  strace.eventsTotal = static_cast<std::uint64_t>(comp.totalEvents());
   strace.predictedCuts = step.predictedSublatticeCuts.value_or(0);
   strace.predictedSaturated = step.predictionSaturated;
-
-  const std::vector<std::vector<char>> ok = skeletonTruth(trace, pred);
-  SliceOptions sopts;
-  sopts.budget = budget;
-  sopts.verifyRegular = false;  // regular by construction, see skeletonOracle
-  Stopwatch watch;
-  const Slice slice = computeSlice(clocks, skeletonOracle(ok), sopts);
-  strace.buildNanos = watch.elapsedNanos();
-  strace.oracleCalls = slice.oracleCalls;
-  GPD_OBS_COUNTER_ADD("slice_prepasses", 1);
-  GPD_OBS_HISTOGRAM("slice_build_nanos", strace.buildNanos);
+  const Slice slice = buildSkeletonSlice(clocks, trace, pred, budget, strace);
   if (!slice.complete) {
     StepRun run;
     run.skipNote = "slice pre-pass exhausted the budget building the slice";
     return run;
   }
-  strace.eventsExcluded =
-      slice.satisfiable ? slice.excludedEvents() : strace.eventsTotal;
-  GPD_OBS_COUNTER_ADD("slice_events_excluded", strace.eventsExcluded);
   if (!strace.predictedSaturated) {
     GPD_OBS_COUNTER_ADD("slice_predicted_cuts", strace.predictedCuts);
   }
@@ -230,34 +231,22 @@ SkeletonPruning pruneSingularOdometer(const VectorClocks& clocks,
   SkeletonPruning out;
   if (cls == nullptr || cls->singleProcessClauses == 0) return out;
   if (cls->chainCoverBound() <= 64) return out;
-  const Computation& comp = trace.computation();
   out.built = true;
-  out.strace.eventsTotal = static_cast<std::uint64_t>(comp.totalEvents());
-  const std::vector<std::vector<char>> ok = skeletonTruth(trace, pred);
-  SliceOptions sopts;
-  sopts.verifyRegular = false;
   // Unbudgeted on purpose: the build is O(|E|) linear walks — tiny against
   // the >64-combination enumeration it prunes — and budget-independence
   // keeps the enumeration scanning the same selection sequence under any
   // budget.
-  Stopwatch watch;
-  const Slice slice = computeSlice(clocks, skeletonOracle(ok), sopts);
-  out.strace.buildNanos = watch.elapsedNanos();
-  out.strace.oracleCalls = slice.oracleCalls;
-  GPD_OBS_COUNTER_ADD("slice_prepasses", 1);
-  GPD_OBS_HISTOGRAM("slice_build_nanos", out.strace.buildNanos);
+  const Slice slice =
+      buildSkeletonSlice(clocks, trace, pred, nullptr, out.strace);
   if (!slice.satisfiable) {
-    out.strace.eventsExcluded = out.strace.eventsTotal;
-    GPD_OBS_COUNTER_ADD("slice_events_excluded", out.strace.eventsExcluded);
     out.unsatisfiable = true;
     return out;
   }
-  out.strace.eventsExcluded = slice.excludedEvents();
-  GPD_OBS_COUNTER_ADD("slice_events_excluded", out.strace.eventsExcluded);
   out.strace.usedSlice = true;
   out.active = true;
-  out.admitted.assign(static_cast<std::size_t>(comp.totalEvents()), 0);
-  for (int node = 0; node < comp.totalEvents(); ++node) {
+  const int total = trace.computation().totalEvents();
+  out.admitted.assign(static_cast<std::size_t>(total), 0);
+  for (int node = 0; node < total; ++node) {
     out.admitted[static_cast<std::size_t>(node)] = slice.included(node) ? 1 : 0;
   }
   return out;

@@ -1,6 +1,6 @@
 #include "detect/dnf_detect.h"
 
-#include <map>
+#include <set>
 
 #include "detect/cpdhb.h"
 #include "obs/metrics.h"
@@ -38,26 +38,18 @@ DnfResult possiblyExpression(const VectorClocks& clocks,
     }
     ++result.termsTried;
     GPD_CHECK(!term.empty());
-    // Group the term's literals per process: the per-process predicate is
-    // their conjunction, and its true events form one chain.
-    std::map<ProcessId, std::vector<const BoolLiteral*>> byProcess;
-    for (const BoolLiteral& lit : term) byProcess[lit.process].push_back(&lit);
-
+    // The term's literals on one process form that process's conjunct, and
+    // its true events one chain.
+    std::set<ProcessId> procs;
+    for (const LocalPredicate& lit : term) procs.insert(lit.process);
     std::vector<Chain> chains;
-    chains.reserve(byProcess.size());
-    for (const auto& [p, lits] : byProcess) {
-      Chain chain;
+    chains.reserve(procs.size());
+    for (const ProcessId p : procs) {
+      const std::vector<char> truth = eventTruth(trace, p, term, Join::All);
+      Chain& chain = chains.emplace_back();
       for (int i = 0; i < comp.eventCount(p); ++i) {
-        bool all = true;
-        for (const BoolLiteral* lit : lits) {
-          if (!lit->holds(trace, i)) {
-            all = false;
-            break;
-          }
-        }
-        if (all) chain.events.push_back({p, i});
+        if (truth[i]) chain.events.push_back({p, i});
       }
-      chains.push_back(std::move(chain));
     }
     const ConjunctiveResult sub = findConsistentSelection(clocks, chains);
     if (sub.found) {

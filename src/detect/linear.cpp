@@ -50,11 +50,8 @@ LinearResult detectLinearFrom(const VectorClocks& clocks,
 
 ForbiddenFn conjunctiveOracle(const VariableTrace& trace,
                               const ConjunctivePredicate& pred) {
-  return [&trace, pred](const Cut& cut) -> std::optional<ProcessId> {
-    for (const LocalPredicate& term : pred.terms) {
-      if (!term.holdsAtCut(trace, cut)) return term.process;
-    }
-    return std::nullopt;
+  return [bound = pred.bind(trace)](const Cut& cut) {
+    return bound.firstFalse(cut);
   };
 }
 

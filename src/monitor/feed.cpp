@@ -10,19 +10,22 @@ namespace gpd::monitor {
 
 namespace {
 
-// One local-predicate term per process, the classic Garg–Waldecker setting.
-std::vector<const LocalPredicate*> termPerProcess(
-    const Computation& comp, const ConjunctivePredicate& pred) {
-  std::vector<const LocalPredicate*> term(comp.processCount(), nullptr);
+// One local-predicate term per process, the classic Garg–Waldecker setting;
+// truth[p][i] is p's term at event i.
+std::vector<std::vector<char>> termTruthPerProcess(
+    const VariableTrace& trace, const ConjunctivePredicate& pred) {
+  const Computation& comp = trace.computation();
+  std::vector<std::vector<char>> truth(comp.processCount());
+  std::vector<char> seen(comp.processCount(), 0);
   for (const LocalPredicate& t : pred.terms) {
-    GPD_CHECK_MSG(term[t.process] == nullptr,
-                  "two conjuncts on process " << t.process);
-    term[t.process] = &t;
+    GPD_CHECK_MSG(!seen[t.process], "two conjuncts on process " << t.process);
+    seen[t.process] = 1;
+    truth[t.process] = eventTruth(trace, t.process, {&t, 1});
   }
   for (ProcessId p = 0; p < comp.processCount(); ++p) {
-    GPD_CHECK_MSG(term[p] != nullptr, "process " << p << " has no conjunct");
+    GPD_CHECK_MSG(seen[p], "process " << p << " has no conjunct");
   }
-  return term;
+  return truth;
 }
 
 }  // namespace
@@ -36,11 +39,11 @@ ReplayResult replayConjunctive(const VectorClocks& clocks,
   GPD_CHECK(monitor.processes() == comp.processCount());
   GPD_CHECK(static_cast<int>(runOrder.size()) == comp.totalEvents());
 
-  const auto term = termPerProcess(comp, pred);
+  const auto truth = termTruthPerProcess(trace, pred);
   ReplayResult result;
   for (int node : runOrder) {
     const EventId e = comp.event(node);
-    if (!term[e.process]->holds(trace, e.index)) continue;
+    if (!truth[e.process][e.index]) continue;
     ++result.notificationsSent;
     if (monitor.report(e.process, clocks.clockVector(e))) {
       result.detected = true;
@@ -61,7 +64,7 @@ ResilientReplayResult replayConjunctiveFaulty(
   GPD_CHECK(static_cast<int>(runOrder.size()) == comp.totalEvents());
   GPD_CHECK(faults.reorderMaxDistance >= 1 && faults.burstLength >= 1);
 
-  const auto term = termPerProcess(comp, pred);
+  const auto truth = termTruthPerProcess(trace, pred);
 
   // The per-process send log: what each application process put on the wire,
   // indexed by sequence number. This is what NACKs are serviced from.
@@ -73,7 +76,7 @@ ResilientReplayResult replayConjunctiveFaulty(
   std::vector<Sent> stream;
   for (int node : runOrder) {
     const EventId e = comp.event(node);
-    if (!term[e.process]->holds(trace, e.index)) continue;
+    if (!truth[e.process][e.index]) continue;
     stream.push_back({e.process, log[e.process].size()});
     log[e.process].push_back(clocks.clockVector(e));
   }

@@ -104,19 +104,19 @@ std::string BoolExpr::toString() const {
 
 namespace {
 
-bool literalLess(const BoolLiteral& a, const BoolLiteral& b) {
+bool literalLess(const LocalPredicate& a, const LocalPredicate& b) {
   return std::tie(a.process, a.var, a.positive) <
          std::tie(b.process, b.var, b.positive);
 }
 
-bool literalEq(const BoolLiteral& a, const BoolLiteral& b) {
+bool literalEq(const LocalPredicate& a, const LocalPredicate& b) {
   return a.process == b.process && a.var == b.var && a.positive == b.positive;
 }
 
 // Merges two terms; nullopt when contradictory.
 std::optional<DnfTerm> mergeTerms(const DnfTerm& a, const DnfTerm& b) {
   DnfTerm out = a;
-  for (const BoolLiteral& lit : b) out.push_back(lit);
+  for (const LocalPredicate& lit : b) out.push_back(lit);
   std::sort(out.begin(), out.end(), literalLess);
   out.erase(std::unique(out.begin(), out.end(), literalEq), out.end());
   for (std::size_t i = 0; i + 1 < out.size(); ++i) {
@@ -137,7 +137,7 @@ std::vector<DnfTerm> dnfOf(const BoolExpr& e, bool positive,
   if (*stopped) return {};
   switch (e.kind()) {
     case BoolExpr::Kind::Var:
-      return {{BoolLiteral{e.process(), e.name(), positive}}};
+      return {{LocalPredicate{e.process(), e.name(), positive}}};
     case BoolExpr::Kind::Not:
       return dnfOf(*e.child(), !positive, budget, stopped);
     case BoolExpr::Kind::And:

@@ -88,9 +88,9 @@ class BoundExpr {
   std::vector<Node> nodes_;
 };
 
-// One DNF disjunct: a set of literals (process, variable, polarity). Kept
-// satisfiable by construction: no contradictory pair survives pruning.
-using DnfTerm = std::vector<BoolLiteral>;
+// One DNF disjunct: a set of boolean literals (process, variable, polarity).
+// Kept satisfiable by construction: no contradictory pair survives pruning.
+using DnfTerm = std::vector<LocalPredicate>;
 
 // Negation-normal-form + distribution, pruning contradictory terms and
 // deduplicating literals. The result is empty iff the expression is

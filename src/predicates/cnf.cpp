@@ -25,19 +25,20 @@ bool CnfPredicate::isKCnf(int k) const {
 
 std::vector<ProcessId> CnfPredicate::clauseProcesses(int j) const {
   std::vector<ProcessId> out;
-  for (const BoolLiteral& l : clauses[j]) out.push_back(l.process);
+  for (const LocalPredicate& l : clauses[j]) out.push_back(l.process);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 BoundCnf::BoundCnf(const VariableTrace& trace, const CnfPredicate& pred) {
-  for (const CnfClause& clause : pred.clauses) {
-    for (const BoolLiteral& l : clause) {
-      literals_.push_back(
-          {l.process, l.positive, trace.column(l.process, l.var).data()});
+  for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
+    for (ProcessId p : pred.clauseProcesses(static_cast<int>(j))) {
+      const std::vector<char> truth = eventTruth(trace, p, pred.clauses[j]);
+      groups_.push_back({p, table_.size()});
+      table_.insert(table_.end(), truth.begin(), truth.end());
     }
-    ends_.push_back(literals_.size());
+    ends_.push_back(groups_.size());
   }
 }
 
@@ -46,8 +47,8 @@ bool BoundCnf::operator()(const Cut& cut) const {
   for (const std::size_t end : ends_) {
     bool sat = false;
     for (; i < end; ++i) {
-      const Literal& l = literals_[i];
-      if ((l.values[cut.last[l.process]] != 0) == l.positive) {
+      const Group& g = groups_[i];
+      if (table_[g.offset + static_cast<std::size_t>(cut.last[g.process])]) {
         sat = true;
         break;
       }
@@ -58,6 +59,15 @@ bool BoundCnf::operator()(const Cut& cut) const {
   return true;
 }
 
+bool CnfPredicate::holdsAtCut(const VariableTrace& trace,
+                              const Cut& cut) const {
+  return std::all_of(clauses.begin(), clauses.end(), [&](const CnfClause& c) {
+    return std::any_of(c.begin(), c.end(), [&](const LocalPredicate& l) {
+      return l.holdsAtCut(trace, cut);
+    });
+  });
+}
+
 std::string CnfPredicate::toString() const {
   std::ostringstream os;
   for (std::size_t j = 0; j < clauses.size(); ++j) {
@@ -65,9 +75,13 @@ std::string CnfPredicate::toString() const {
     os << '(';
     for (std::size_t i = 0; i < clauses[j].size(); ++i) {
       if (i) os << " | ";
-      const BoolLiteral& l = clauses[j][i];
-      if (!l.positive) os << '!';
-      os << l.var << "@p" << l.process;
+      const LocalPredicate& l = clauses[j][i];
+      if (l.isBoolean() || !l.positive) {
+        os << l.label();
+      } else {
+        os << '(' << l.label() << ')';
+      }
+      os << "@p" << l.process;
     }
     os << ')';
   }

@@ -5,33 +5,27 @@
 // clause. Singular 1-CNF is exactly the conjunctive predicate class. The
 // paper's Theorem 1 shows detection is NP-complete for k ≥ 2; Sections
 // 3.2/3.3 give the algorithms implemented in src/detect.
+//
+// Literals are local predicates (predicates/local.h): boolean literals
+// (x, !x) and comparison literals (x relop a) alike, so Corollary 2's
+// inequality-clause predicates are CNF predicates with comparison literals.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "predicates/local.h"
 #include "predicates/variable_trace.h"
 
 namespace gpd {
 
-struct BoolLiteral {
-  ProcessId process = 0;
-  std::string var;
-  bool positive = true;
-
-  bool holds(const VariableTrace& trace, int eventIndex) const {
-    return (trace.value(process, var, eventIndex) != 0) == positive;
-  }
-};
-
-using CnfClause = std::vector<BoolLiteral>;
+using CnfClause = std::vector<LocalPredicate>;
 
 struct CnfPredicate;
 
-// A CNF predicate with every literal resolved to its variable's history
-// column (VariableTrace::column): evaluating it at a cut reads one array
-// slot per literal. Copyable and safe to call concurrently; valid while the
-// trace it was bound to lives.
+// A CNF predicate with each clause's literals tabulated per hosting process
+// by eventTruth: evaluating it at a cut reads one byte per (clause, process)
+// pair. Copyable and safe to call concurrently.
 class BoundCnf {
  public:
   BoundCnf(const VariableTrace& trace, const CnfPredicate& pred);
@@ -39,13 +33,13 @@ class BoundCnf {
   bool operator()(const Cut& cut) const;
 
  private:
-  struct Literal {
+  struct Group {
     ProcessId process;
-    bool positive;
-    const std::int64_t* values;
+    std::size_t offset;  // the group's truth row starts at table_[offset]
   };
-  std::vector<Literal> literals_;   // clause by clause
-  std::vector<std::size_t> ends_;   // ends_[j] = one past clause j's last
+  std::vector<char> table_;
+  std::vector<Group> groups_;      // clause by clause
+  std::vector<std::size_t> ends_;  // ends_[j] = one past clause j's last
 };
 
 struct CnfPredicate {
@@ -60,13 +54,12 @@ struct CnfPredicate {
   // The set of processes hosting clause j's variables (duplicates removed).
   std::vector<ProcessId> clauseProcesses(int j) const;
 
-  // Resolves the literals against `trace` once; the lattice routes evaluate
-  // the bound form per cut.
+  // Tabulates the literals against `trace` once; the lattice routes
+  // evaluate the bound form per cut.
   BoundCnf bind(const VariableTrace& trace) const { return {trace, *this}; }
 
-  bool holdsAtCut(const VariableTrace& trace, const Cut& cut) const {
-    return bind(trace)(cut);
-  }
+  // One-off evaluation at a single cut.
+  bool holdsAtCut(const VariableTrace& trace, const Cut& cut) const;
 
   std::string toString() const;
 };

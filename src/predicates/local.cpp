@@ -1,7 +1,5 @@
 #include "predicates/local.h"
 
-#include <sstream>
-
 #include "util/check.h"
 
 namespace gpd {
@@ -43,57 +41,58 @@ std::string toString(Relop op) {
   return "?";
 }
 
+std::string LocalPredicate::label() const {
+  if (isBoolean()) return positive ? var : "!" + var;
+  const std::string body =
+      var + ' ' + toString(relop) + ' ' + std::to_string(k);
+  return positive ? body : "!(" + body + ")";
+}
+
 LocalPredicate varTrue(ProcessId p, std::string var) {
-  LocalPredicate pred;
-  pred.process = p;
-  pred.label = var;
-  pred.holds = [p, var = std::move(var)](const VariableTrace& t, int idx) {
-    return t.value(p, var, idx) != 0;
-  };
-  return pred;
+  return {p, std::move(var), true};
 }
 
 LocalPredicate varFalse(ProcessId p, std::string var) {
-  LocalPredicate pred;
-  pred.process = p;
-  pred.label = "!" + var;
-  pred.holds = [p, var = std::move(var)](const VariableTrace& t, int idx) {
-    return t.value(p, var, idx) == 0;
-  };
-  return pred;
+  return {p, std::move(var), false};
 }
 
 LocalPredicate varCompare(ProcessId p, std::string var, Relop op,
                           std::int64_t k) {
-  LocalPredicate pred;
-  pred.process = p;
-  std::ostringstream label;
-  label << var << ' ' << toString(op) << ' ' << k;
-  pred.label = label.str();
-  pred.holds = [p, var = std::move(var), op, k](const VariableTrace& t,
-                                                int idx) {
-    return compare(t.value(p, var, idx), op, k);
-  };
-  return pred;
+  return {p, std::move(var), true, op, k};
+}
+
+std::vector<char> eventTruth(const VariableTrace& trace, ProcessId p,
+                             std::span<const LocalPredicate> lits, Join join) {
+  const int count = trace.computation().eventCount(p);
+  const char unit = join == Join::All ? 1 : 0;
+  std::vector<char> out(static_cast<std::size_t>(count), unit);
+  for (const LocalPredicate& l : lits) {
+    if (l.process != p) continue;
+    const std::vector<std::int64_t>& values = trace.column(p, l.var);
+    for (int i = 0; i < count; ++i) {
+      // Any: a true literal sets the slot; All: a false one clears it.
+      if (l.holds(values[i]) != static_cast<bool>(unit)) out[i] = 1 - unit;
+    }
+  }
+  return out;
+}
+
+std::vector<int> trueEvents(const VariableTrace& trace,
+                            const LocalPredicate& pred) {
+  const std::vector<char> truth = eventTruth(trace, pred.process, {&pred, 1});
+  std::vector<int> out;
+  for (int i = 0; i < static_cast<int>(truth.size()); ++i) {
+    if (truth[i]) out.push_back(i);
+  }
+  return out;
 }
 
 BoundConjunctive::BoundConjunctive(const VariableTrace& trace,
                                    const ConjunctivePredicate& pred) {
   for (const LocalPredicate& term : pred.terms) {
-    std::vector<char> truth(trace.computation().eventCount(term.process), 0);
-    for (int i : trueEvents(trace, term)) truth[i] = 1;
-    terms_.push_back({term.process, std::move(truth)});
+    terms_.push_back(
+        {term.process, eventTruth(trace, term.process, {&term, 1})});
   }
-}
-
-std::vector<int> trueEvents(const VariableTrace& trace,
-                            const LocalPredicate& pred) {
-  std::vector<int> out;
-  const int count = trace.computation().eventCount(pred.process);
-  for (int i = 0; i < count; ++i) {
-    if (pred.holds(trace, i)) out.push_back(i);
-  }
-  return out;
 }
 
 }  // namespace gpd

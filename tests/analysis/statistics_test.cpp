@@ -80,6 +80,35 @@ TEST(StatisticsTest, WidthBoundsLatticeLevelWidth) {
   EXPECT_GE(stats.height, opt.eventsPerProcess);  // each process is a chain
 }
 
+// The concurrency index counts comparable pairs from the successor rows;
+// the pairwise concurrent() test over every pair is the oracle.
+TEST(StatisticsTest, ConcurrencyIndexMatchesPairwiseCount) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    RandomComputationOptions opt;
+    opt.processes = 2 + static_cast<int>(rng.index(4));
+    opt.eventsPerProcess = 1 + static_cast<int>(rng.index(8));
+    opt.messageProbability = rng.uniform(0, 10) / 10.0;
+    const Computation c = randomComputation(opt, rng);
+    const VectorClocks vc(c);
+    std::vector<EventId> events;
+    for (ProcessId p = 0; p < c.processCount(); ++p) {
+      for (int i = 1; i < c.eventCount(p); ++i) events.push_back({p, i});
+    }
+    std::uint64_t concurrent = 0;
+    std::uint64_t pairs = 0;
+    for (std::size_t a = 0; a < events.size(); ++a) {
+      for (std::size_t b = a + 1; b < events.size(); ++b) {
+        ++pairs;
+        concurrent += vc.concurrent(events[a], events[b]);
+      }
+    }
+    const double want =
+        pairs == 0 ? 0.0 : static_cast<double>(concurrent) / pairs;
+    EXPECT_EQ(computeStats(vc).concurrencyIndex, want) << "seed " << seed;
+  }
+}
+
 TEST(StatisticsTest, EmptyComputation) {
   ComputationBuilder b(2);
   const Computation c = std::move(b).build();

@@ -183,25 +183,39 @@ TEST(SliceFirstTest, ExhaustedBudgetDegradesToUnknownNotWrong) {
 }
 
 TEST(SliceFirstTest, SingularOdometerPruningPreservesVerdicts) {
-  // Singular CNFs whose chain-cover space exceeds the pruning threshold:
-  // the skeleton-sliced odometer must agree with the pruning-free
-  // enumeration (slicing disabled) on every verdict.
+  // Singular CNFs whose chain-cover space exceeds the pruning threshold,
+  // plus one single-process clause on a process no other clause uses: the
+  // skeleton-sliced odometer must agree with the pruning-free enumeration
+  // (slicing disabled) on every verdict.
   Rng rng(31337);
   for (int trial = 0; trial < 30; ++trial) {
     GroupedComputationOptions opt;
-    opt.groups = 2;
-    opt.groupSize = 2;
-    opt.eventsPerProcess = 4;
-    opt.messageProbability = 0.5;
+    opt.groups = 6;
+    opt.groupSize = 3;
+    opt.eventsPerProcess = 6;
+    opt.messageProbability = 0.2;
     const Computation c = randomGroupedComputation(opt, rng);
     VariableTrace trace(c);
     defineRandomBools(trace, "x", 0.4, rng);
-    CnfPredicate pred = testing::randomSingularKCnf(2, 2, "x", rng);
-    // Pin one clause to a single process so the skeleton is non-trivial.
-    pred.clauses.push_back({{0, "x", true}});
+    CnfPredicate pred = testing::randomSingularKCnf(5, 3, "x", rng);
+    // Pin process 15 to a literal with a true event, so the skeleton slice
+    // is satisfiable and the pruning runs.
+    const ProcessId pinned = 15;
+    pred.clauses.push_back(
+        {{pinned, "x", !trace.trueEventIndices(pinned, "x").empty()}});
+    ASSERT_TRUE(pred.isSingular());
 
     Detector sliced(trace);
     const std::optional<Cut> got = sliced.possibly(pred);
+    ASSERT_TRUE(sliced.lastReport().cnf.has_value());
+    EXPECT_GT(sliced.lastReport().cnf->chainCoverBound(), 64u)
+        << "trial " << trial;
+    EXPECT_TRUE(sliced.lastAlgorithm() == "singular-chain-cover" ||
+                sliced.lastAlgorithm() == "singular-process-enumeration")
+        << "trial " << trial << ": " << sliced.lastAlgorithm();
+    ASSERT_TRUE(sliced.lastSlice().has_value()) << "trial " << trial;
+    EXPECT_TRUE(sliced.lastSlice()->usedSlice) << "trial " << trial;
+
     Detector plain(trace);
     plain.enableSlicing(false);
     const std::optional<Cut> want = plain.possibly(pred);

@@ -22,7 +22,7 @@ bool evalDnf(const std::vector<DnfTerm>& dnf, const VariableTrace& trace,
              const Cut& cut) {
   for (const DnfTerm& term : dnf) {
     bool all = true;
-    for (const BoolLiteral& lit : term) {
+    for (const LocalPredicate& lit : term) {
       if (!lit.holds(trace, cut.last[lit.process])) {
         all = false;
         break;

@@ -72,6 +72,42 @@ TEST(CnfPredicateTest, ToStringReadable) {
   EXPECT_EQ(pred.toString(), "(x@p0 | !y@p1)");
 }
 
+TEST(CnfPredicateTest, ToStringShowsComparisonLiterals) {
+  CnfPredicate pred;
+  pred.clauses = {{{0, "x", true, Relop::LessEq, 2},
+                   {1, "y", false, Relop::Equal, 0}}};
+  EXPECT_EQ(pred.toString(), "((x <= 2)@p0 | !(y == 0)@p1)");
+}
+
+// Corollary 2's inequality clauses are CNF clauses of comparison literals.
+TEST(IneqPredicateTest, SingularCheck) {
+  CnfPredicate ok;
+  ok.clauses = {{{0, "x", true, Relop::Less, 3},
+                 {1, "y", true, Relop::GreaterEq, 2}},
+                {{2, "z", true, Relop::NotEqual, 0}}};
+  EXPECT_TRUE(ok.isSingular());
+
+  CnfPredicate bad = ok;
+  bad.clauses.push_back({{1, "w", true, Relop::Less, 9}});
+  EXPECT_FALSE(bad.isSingular());
+}
+
+TEST(IneqPredicateTest, HoldsAtCut) {
+  ComputationBuilder b(2);
+  b.appendEvent(0);
+  b.appendEvent(1);
+  const Computation c = std::move(b).build();
+  VariableTrace t(c);
+  t.define(0, "x", {0, 5});
+  t.define(1, "y", {7, 1});
+  CnfPredicate pred;
+  pred.clauses = {{{0, "x", true, Relop::Greater, 3},
+                   {1, "y", true, Relop::Less, 2}}};
+  EXPECT_FALSE(pred.holdsAtCut(t, Cut(std::vector<int>{0, 0})));  // 0>3? 7<2? no
+  EXPECT_TRUE(pred.holdsAtCut(t, Cut(std::vector<int>{1, 0})));   // 5>3
+  EXPECT_TRUE(pred.holdsAtCut(t, Cut(std::vector<int>{0, 1})));   // 1<2
+}
+
 TEST(CnfPredicateTest, EmptyPredicateHoldsEverywhere) {
   const Computation c = fourProc();
   VariableTrace t(c);

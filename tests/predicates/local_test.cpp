@@ -53,7 +53,32 @@ TEST(LocalPredicateTest, VarCompare) {
   t.define(0, "n", {0, 5, 3});
   const LocalPredicate p = varCompare(0, "n", Relop::GreaterEq, 4);
   EXPECT_EQ(trueEvents(t, p), (std::vector<int>{1}));
-  EXPECT_EQ(p.label, "n >= 4");
+  EXPECT_EQ(p.label(), "n >= 4");
+}
+
+TEST(LocalPredicateTest, LabelsNameEachShape) {
+  EXPECT_EQ(varTrue(0, "x").label(), "x");
+  EXPECT_EQ(varFalse(0, "x").label(), "!x");
+  EXPECT_EQ((LocalPredicate{0, "n", false, Relop::Less, -2}).label(),
+            "!(n < -2)");
+}
+
+TEST(LocalPredicateTest, EventTruthJoinsTheLiteralsOnOneProcess) {
+  const Computation c = twoProc();
+  VariableTrace t(c);
+  t.define(0, "n", {0, 5, 3});
+  t.defineBool(1, "y", {true, false});
+  const std::vector<LocalPredicate> lits = {
+      varCompare(0, "n", Relop::Greater, 4),
+      varCompare(0, "n", Relop::Equal, 3), varTrue(1, "y")};
+  EXPECT_EQ(eventTruth(t, 0, lits, Join::Any), (std::vector<char>{0, 1, 1}));
+  EXPECT_EQ(eventTruth(t, 0, lits, Join::All), (std::vector<char>{0, 0, 0}));
+  EXPECT_EQ(eventTruth(t, 1, lits, Join::Any), (std::vector<char>{1, 0}));
+  // No literal on the process: the empty disjunction and conjunction.
+  EXPECT_EQ(eventTruth(t, 1, {lits.data(), 2}, Join::Any),
+            (std::vector<char>{0, 0}));
+  EXPECT_EQ(eventTruth(t, 1, {lits.data(), 2}, Join::All),
+            (std::vector<char>{1, 1}));
 }
 
 TEST(LocalPredicateTest, HoldsAtCut) {

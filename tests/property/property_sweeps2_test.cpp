@@ -70,17 +70,15 @@ TEST_P(PropertySweep2, InequalityLoweringEquivalentToLattice) {
   defineRandomCounters(trace, "v", 0, 2, rng);
   const Relop ops[] = {Relop::Less, Relop::LessEq, Relop::Greater,
                        Relop::GreaterEq, Relop::NotEqual};
-  IneqClausePredicate pred;
+  CnfPredicate pred;  // Corollary 2: comparison literals, plain CNF query
   for (int g = 0; g < 2; ++g) {
     pred.clauses.push_back(
-        {{2 * g, "v", ops[rng.index(5)], rng.uniform(-2, 2)},
-         {2 * g + 1, "v", ops[rng.index(5)], rng.uniform(-2, 2)}});
+        {{2 * g, "v", true, ops[rng.index(5)], rng.uniform(-2, 2)},
+         {2 * g + 1, "v", true, ops[rng.index(5)], rng.uniform(-2, 2)}});
   }
-  const VectorClocks clocks(comp);
-  const detect::IneqResult res =
-      detect::possiblyInequality(clocks, trace, pred);
-  EXPECT_EQ(res.cut.has_value(),
-            lattice::findSatisfyingCut(clocks, [&](const Cut& c) {
+  detect::Detector det(trace);
+  EXPECT_EQ(det.possibly(pred).has_value(),
+            lattice::findSatisfyingCut(det.clocks(), [&](const Cut& c) {
               return pred.holdsAtCut(trace, c);
             }).witness.has_value());
 }

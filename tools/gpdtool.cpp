@@ -510,11 +510,11 @@ int detectConj(const io::TraceFile& file, std::vector<std::string> args,
 // Parses "p:var" / "p:!var". Malformed literals are the *user's* input
 // problem: rejected with an InputError pointing at the offending token
 // (exit 1), never silently folded into the usage text.
-BoolLiteral parseLiteral(const std::string& term) {
+LocalPredicate parseLiteral(const std::string& term) {
   const auto colon = term.find(':');
   GPD_INPUT_CHECK(colon != std::string::npos,
                   "literal '" << term << "' is not of the form p:var");
-  BoolLiteral lit;
+  LocalPredicate lit;
   lit.process = static_cast<ProcessId>(integerIn(
       term.substr(0, colon), "literal process", 0,
       std::numeric_limits<ProcessId>::max()));
@@ -1074,9 +1074,8 @@ int selftest() {
       return 2;
     }
     CnfPredicate shared;  // both clauses host p0: not singular → lattice
-    shared.clauses.push_back({BoolLiteral{0, "cs", true},
-                              BoolLiteral{1, "cs", true}});
-    shared.clauses.push_back({BoolLiteral{0, "cs", true}});
+    shared.clauses.push_back({varTrue(0, "cs"), varTrue(1, "cs")});
+    shared.clauses.push_back({varTrue(0, "cs")});
     control::BudgetLimits tinyLimits;
     tinyLimits.maxCuts = 1;
     control::Budget tiny(tinyLimits);
