@@ -1,6 +1,8 @@
 #include "analyze/classify.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "clocks/chain_cover.h"
 #include "lattice/explore.h"
@@ -94,17 +96,47 @@ std::vector<EventId> groupEventsOfKind(const Computation& comp,
   return out;
 }
 
+namespace {
+
+// Whether every two of `events` are causally ordered (one way or the other),
+// i.e. they form a chain. The clock-row sum grows strictly along e ≺ f, so
+// sorted by it a chain is in causal order; each event must then precede
+// the next, and transitivity orders every other pair.
 bool pairwiseOrdered(const VectorClocks& clocks,
                      const std::vector<EventId>& events) {
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    for (std::size_t j = i + 1; j < events.size(); ++j) {
-      if (!clocks.leq(events[i], events[j]) &&
-          !clocks.leq(events[j], events[i])) {
-        return false;
-      }
-    }
+  const int n = clocks.computation().processCount();
+  const auto rowSum = [&](const EventId& e) {
+    const int* row = clocks.row(e.process, e.index);
+    return std::accumulate(row, row + n, 0LL);
+  };
+  std::vector<std::pair<long long, EventId>> keyed;
+  keyed.reserve(events.size());
+  for (const EventId& e : events) keyed.emplace_back(rowSum(e), e);
+  std::sort(keyed.begin(), keyed.end());
+  for (std::size_t i = 0; i + 1 < keyed.size(); ++i) {
+    if (!clocks.leq(keyed[i].second, keyed[i + 1].second)) return false;
   }
   return true;
+}
+
+}  // namespace
+
+GroupOrder groupOrder(const VectorClocks& clocks,
+                      const std::vector<std::vector<ProcessId>>& groups) {
+  const Computation& comp = clocks.computation();
+  GroupOrder out{true, true};
+  for (const std::vector<ProcessId>& group : groups) {
+    if (out.receiveOrdered &&
+        !pairwiseOrdered(clocks, groupEventsOfKind(comp, group, true))) {
+      out.receiveOrdered = false;
+    }
+    if (out.sendOrdered &&
+        !pairwiseOrdered(clocks, groupEventsOfKind(comp, group, false))) {
+      out.sendOrdered = false;
+    }
+    if (!out.receiveOrdered && !out.sendOrdered) break;
+  }
+  return out;
 }
 
 const char* toString(Hint h) {
@@ -160,14 +192,14 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
   }
   out.conjunctive = out.singular && out.uniformK == 1;
 
-  const std::vector<std::vector<EventId>> trueEvents =
-      clauseTrueEvents(trace, pred);
+  std::vector<std::vector<EventId>> trueEvents = clauseTrueEvents(trace, pred);
+  std::vector<std::vector<ProcessId>> groups;
   for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
     ClauseFacts facts;
     facts.literals = static_cast<int>(pred.clauses[j].size());
     facts.processes = pred.clauseProcesses(static_cast<int>(j));
-    const std::vector<EventId>& events = trueEvents[j];
-    facts.trueEventCount = static_cast<int>(events.size());
+    facts.trueEvents = std::move(trueEvents[j]);
+    const std::vector<EventId>& events = facts.trueEvents;
     for (ProcessId p : facts.processes) {
       if (std::any_of(events.begin(), events.end(),
                       [p](const EventId& e) { return e.process == p; })) {
@@ -176,6 +208,7 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
     }
     facts.cover = chainCover(clocks, events);
     facts.chainCoverSize = static_cast<int>(facts.cover.size());
+    groups.push_back(facts.processes);
     out.clauses.push_back(std::move(facts));
   }
   for (const ClauseFacts& facts : out.clauses) {
@@ -189,22 +222,14 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
   }
 
   if (out.singular) {
-    out.receiveOrdered = true;
-    out.sendOrdered = true;
-    for (const ClauseFacts& facts : out.clauses) {
-      if (out.receiveOrdered &&
-          !pairwiseOrdered(clocks,
-                           groupEventsOfKind(comp, facts.processes, true))) {
-        out.receiveOrdered = false;
-      }
-      if (out.sendOrdered &&
-          !pairwiseOrdered(clocks,
-                           groupEventsOfKind(comp, facts.processes, false))) {
-        out.sendOrdered = false;
-      }
-      if (!out.receiveOrdered && !out.sendOrdered) break;
-    }
+    const GroupOrder order = groupOrder(clocks, groups);
+    out.receiveOrdered = order.receiveOrdered;
+    out.sendOrdered = order.sendOrdered;
   }
+  // Conjunctions of local predicates are linear by construction
+  // (Garg–Waldecker), no enumeration needed.
+  if (out.conjunctive) out.linear = Hint::Yes;
+  if (opts.latticeCutLimit == 0) return out;
 
   // One lattice sweep feeds both hints: the stability single-event-extension
   // check runs inline, the cuts are collected for the linearity check.
@@ -237,15 +262,13 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
   });
   if (!capped) {
     out.stable = stableViolated ? Hint::No : Hint::Yes;
-    out.linear = linearityHint(cuts, holds, comp.processCount());
+    if (!out.conjunctive) {
+      out.linear = linearityHint(cuts, holds, comp.processCount());
+    }
     if (out.regular == Hint::Unknown) {
       out.regular = regularityHint(cuts, holds, phi);
     }
   }
-  // Conjunctions of local predicates are linear by construction
-  // (Garg–Waldecker), no enumeration needed.
-  if (out.conjunctive) out.linear = Hint::Yes;
-
   return out;
 }
 

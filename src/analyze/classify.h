@@ -6,18 +6,21 @@
 // width k, the per-meta-process receive-/send-ordered preconditions of the
 // Sec. 3.2 scan, and the per-clause cost inputs of Sec. 3.3 — the number of
 // hosting processes kⱼ (process enumeration) and the minimum chain cover
-// size cⱼ of the clause's true events (chain-cover enumeration). The cover
-// itself (clocks/chain_cover.h) is kept, so a detector that enumerates the
-// same true events reuses it instead of building it again.
+// size cⱼ of the clause's true events (chain-cover enumeration). The true
+// events and their cover (clocks/chain_cover.h) are kept, so a detector
+// that scans the same events reuses them instead of building them again.
 //
 // The clause-true event sets and the Sec. 3.2 group-order test live here
 // too, as the one copy the classifier and the detectors share: a shared
-// cover is only valid over the event sequence the detector enumerates.
+// cover is only valid over the event sequence the detector enumerates, and
+// the CPDSC scan (detect/cpdsc.h) runs on the order decided here — from the
+// classification in the Detector, from groupOrder() in its trace form.
 //
 // Stability (Chandy–Lamport), linearity (Chase–Garg), and regularity
 // (Garg–Mittal: meet- AND join-closed, the class computation slicing is
 // sound for) are *hints*: exact on small lattices (decided exhaustively),
-// Unknown when the lattice is too large to enumerate — except conjunctive
+// Unknown when the lattice is too large to enumerate (or, at
+// latticeCutLimit 0, not enumerated at all) — except conjunctive
 // predicates, which are linear by construction (Garg–Waldecker), and CNFs
 // whose clauses are all single-process, which are regular by construction
 // (each clause's satisfaction depends on one coordinate of the cut, so its
@@ -42,12 +45,21 @@ const char* toString(Hint h);
 struct ClauseFacts {
   int literals = 0;                   // clause width
   std::vector<ProcessId> processes;   // hosting processes, deduplicated
-  int trueEventCount = 0;             // events where some literal holds
   int hostingChains = 0;              // kⱼ: non-empty per-process chains
   int chainCoverSize = 0;             // cⱼ: minimum chain cover (Dilworth)
-  // The cover itself, chainCover() over the clause's clauseTrueEvents
-  // (chainCoverSize chains). Stored for the detector, never rendered.
+  // The clause's clauseTrueEvents and their chainCover() (chainCoverSize
+  // chains). Stored for the detectors, never rendered.
+  std::vector<EventId> trueEvents;
   std::vector<std::vector<EventId>> cover;
+
+  int trueEventCount() const { return static_cast<int>(trueEvents.size()); }
+};
+
+// The Sec. 3.2 preconditions over clause groups: every two receive (resp.
+// send) events hosted by one group are causally ordered.
+struct GroupOrder {
+  bool receiveOrdered = false;
+  bool sendOrdered = false;
 };
 
 struct CnfClassification {
@@ -81,7 +93,8 @@ struct CnfClassification {
 
 struct ClassifyOptions {
   // Stability/linearity hints are decided exhaustively only while the cut
-  // lattice stays within this many cuts; beyond it they stay Unknown.
+  // lattice stays within this many cuts; beyond it they stay Unknown. At 0
+  // the predicate is not bound and the lattice is not visited at all.
   std::uint64_t latticeCutLimit = 20000;
 };
 
@@ -104,9 +117,9 @@ std::vector<EventId> groupEventsOfKind(const Computation& comp,
                                        const std::vector<ProcessId>& group,
                                        bool receives);
 
-// Whether every two of `events` are causally ordered (one way or the other).
-bool pairwiseOrdered(const VectorClocks& clocks,
-                     const std::vector<EventId>& events);
+// The one Sec. 3.2 group-order test. Both flags are true for no groups.
+GroupOrder groupOrder(const VectorClocks& clocks,
+                      const std::vector<std::vector<ProcessId>>& groups);
 
 CnfClassification classifyCnf(const VectorClocks& clocks,
                               const VariableTrace& trace,

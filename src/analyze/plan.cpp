@@ -165,7 +165,7 @@ AnalysisReport planCnf(const VectorClocks& clocks, const VariableTrace& trace,
         // A single-process clause's true events are its true levels.
         const ProcessId p = cls.clauses[j].processes.front();
         levelCounts[p] =
-            std::min(levelCounts[p], cls.clauses[j].trueEventCount);
+            std::min(levelCounts[p], cls.clauses[j].trueEventCount());
       }
       std::uint64_t predicted = 1;
       bool saturated = false;
@@ -215,7 +215,7 @@ AnalysisReport planCnf(const VectorClocks& clocks, const VariableTrace& trace,
   for (const ClauseFacts& c : cls.clauses) {
     coverSizes.push_back(c.chainCoverSize);
     hostCounts.push_back(c.hostingChains);
-    if (c.trueEventCount == 0) {
+    if (c.trueEventCount() == 0) {
       note(report, "a clause is never true on this trace: possibly(φ) "
                    "is trivially false, predicted work is 0");
     }
@@ -432,7 +432,7 @@ void renderPlanText(std::ostream& os, const AnalysisReport& report) {
     for (std::size_t j = 0; j < cls.clauses.size(); ++j) {
       const ClauseFacts& c = cls.clauses[j];
       os << "  clause " << j << ": " << c.literals << " literal(s) on "
-         << c.processes.size() << " process(es), " << c.trueEventCount
+         << c.processes.size() << " process(es), " << c.trueEventCount()
          << " true event(s), c" << j << "=" << c.chainCoverSize << ", k" << j
          << "=" << c.hostingChains << '\n';
     }
@@ -508,7 +508,7 @@ void renderPlanJson(std::ostream& os, const AnalysisReport& report) {
         if (i > 0) os << ", ";
         os << c.processes[i];
       }
-      os << "], \"trueEvents\": " << c.trueEventCount
+      os << "], \"trueEvents\": " << c.trueEventCount()
          << ", \"chainCoverSize\": " << c.chainCoverSize
          << ", \"hostingChains\": " << c.hostingChains << '}';
     }

@@ -1,5 +1,6 @@
 #include "detect/cpdhb.h"
 
+#include <algorithm>
 #include <set>
 
 #include "obs/metrics.h"
@@ -8,41 +9,23 @@
 
 namespace gpd::detect {
 
-namespace {
-
-// One CPDHB scan finished (hit or miss). Counters are bumped once per scan
-// with the totals the scan already tracked, so the pairwise-elimination
-// loop itself carries no instrumentation.
-void recordScan(const ConjunctiveResult& result) {
-  (void)result;
-  GPD_OBS_COUNTER_ADD("cpdhb_invocations", 1);
-  GPD_OBS_COUNTER_ADD("cpdhb_comparisons", result.comparisons);
-}
-
-// The actual pairwise-elimination scan; the public wrapper below records
-// metrics on whichever exit path is taken.
-ConjunctiveResult findConsistentSelectionImpl(const VectorClocks& clocks,
-                                              const std::vector<Chain>& chains) {
+ConjunctiveResult eliminationScan(const VectorClocks& clocks,
+                                  std::span<const Candidates> lists) {
   ConjunctiveResult result;
-  const int n = static_cast<int>(chains.size());
+  const int n = static_cast<int>(lists.size());
   if (n == 0) {
     // Empty conjunction: trivially true at the initial cut.
     result.found = true;
     result.cut = initialCut(clocks.computation());
     return result;
   }
-  for (const Chain& chain : chains) {
-    if (chain.events.empty()) return result;
-#ifndef NDEBUG
-    for (std::size_t i = 0; i + 1 < chain.events.size(); ++i) {
-      GPD_DCHECK(clocks.leq(chain.events[i], chain.events[i + 1]));
-    }
-#endif
+  for (const Candidates& list : lists) {
+    if (list.empty()) return result;
   }
 
   std::vector<std::size_t> head(n, 0);
   const auto cand = [&](int i) -> const EventId& {
-    return chains[i].events[head[i]];
+    return lists[i][head[i]];
   };
 
   // Work queue: slots whose candidate changed and must be re-checked against
@@ -65,17 +48,17 @@ ConjunctiveResult findConsistentSelectionImpl(const VectorClocks& clocks,
     bool advancedI = false;
     for (int j = 0; j < n && !advancedI; ++j) {
       if (j == i) continue;
-      // succ(cand(a)) ≤ cand(b) ⟹ cand(a) is dead: advance chain a.
+      // succ(cand(a)) ≤ cand(b) ⟹ cand(a) is dead: advance list a.
       while (true) {
         ++result.comparisons;
         if (clocks.succLeq(cand(i), cand(j))) {
-          if (++head[i] >= chains[i].events.size()) return result;
+          if (++head[i] >= lists[i].size()) return result;
           advancedI = true;
           continue;
         }
         ++result.comparisons;
         if (clocks.succLeq(cand(j), cand(i))) {
-          if (++head[j] >= chains[j].events.size()) return result;
+          if (++head[j] >= lists[j].size()) return result;
           enqueue(j);
           continue;
         }
@@ -88,7 +71,7 @@ ConjunctiveResult findConsistentSelectionImpl(const VectorClocks& clocks,
   // No pair can be eliminated: candidates are pairwise consistent.
   result.witness.reserve(n);
   for (int i = 0; i < n; ++i) result.witness.push_back(cand(i));
-  // Deduplicate for the cut construction (two chains may name one event).
+  // Deduplicate for the cut construction (two lists may name one event).
   std::vector<EventId> unique(result.witness);
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
@@ -97,13 +80,25 @@ ConjunctiveResult findConsistentSelectionImpl(const VectorClocks& clocks,
   return result;
 }
 
-}  // namespace
+ConjunctiveResult findConsistentSelection(const VectorClocks& clocks,
+                                          std::span<const Candidates> chains) {
+#ifndef NDEBUG
+  for (const Candidates& chain : chains) {
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+      GPD_DCHECK(clocks.leq(chain[i], chain[i + 1]));
+    }
+  }
+#endif
+  ConjunctiveResult result = eliminationScan(clocks, chains);
+  GPD_OBS_COUNTER_ADD("cpdhb_invocations", 1);
+  GPD_OBS_COUNTER_ADD("cpdhb_comparisons", result.comparisons);
+  return result;
+}
 
 ConjunctiveResult findConsistentSelection(const VectorClocks& clocks,
                                           const std::vector<Chain>& chains) {
-  ConjunctiveResult result = findConsistentSelectionImpl(clocks, chains);
-  recordScan(result);
-  return result;
+  const std::vector<Candidates> lists(chains.begin(), chains.end());
+  return findConsistentSelection(clocks, lists);
 }
 
 ConjunctiveResult detectConjunctive(const VectorClocks& clocks,
@@ -120,11 +115,8 @@ ConjunctiveResult detectConjunctive(const VectorClocks& clocks,
   std::vector<Chain> chains;
   chains.reserve(pred.terms.size());
   for (const LocalPredicate& t : pred.terms) {
-    Chain chain;
-    for (int idx : trueEvents(trace, t)) {
-      chain.events.push_back({t.process, idx});
-    }
-    chains.push_back(std::move(chain));
+    Chain& chain = chains.emplace_back();
+    for (int idx : trueEvents(trace, t)) chain.push_back({t.process, idx});
   }
   return findConsistentSelection(clocks, chains);
 }

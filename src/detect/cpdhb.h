@@ -1,20 +1,28 @@
 // Weak conjunctive predicate detection — Garg–Waldecker's CPDHB algorithm
-// (paper reference [9]), generalized from per-process queues to arbitrary
-// *chains* of events as Sec. 3.3 of the paper requires.
+// (paper reference [9]) — and the one elimination scan every Sec. 3
+// algorithm runs.
 //
-// Given one chain of candidate events per slot, the algorithm finds a
-// selection of one event per chain that is pairwise consistent (equivalently,
-// by Observation 1, a consistent cut through all of them), or reports none
-// exists. The elimination rule: if succ(e) ≤ f for the current candidates
-// e, f of two different slots, then e is inconsistent with f and with every
-// later event on f's chain (they all dominate f), so e can never appear in a
-// witness — advance e's chain. Each elimination consumes one event, giving
-// O((Σ|chain|)² ) consistency checks in the worst case with the work-queue
-// formulation below, each check O(1) via vector clocks.
+// The one scan (eliminationScan) takes one candidate list per slot and finds
+// a selection of one event per list that is pairwise consistent
+// (equivalently, by Observation 1, a consistent cut through all of them),
+// or reports none exists. The elimination rule: if succ(e) ≤ f for the
+// current candidates e, f of two different slots, then e is dead — advance
+// e's list. Each elimination consumes one event, giving O((Σ|list|)²)
+// consistency checks in the worst case with the work-queue formulation,
+// each check O(1) via vector clocks.
+//
+// The rule is sound whenever a dead e is also inconsistent with every later
+// candidate of f's list. Two list orders guarantee it:
+//  - causal chains (CPDHB and the Sec. 3.3 enumerations, which run it once
+//    per selection of one chain per clause group): every later candidate
+//    dominates f;
+//  - σ-sorted meta-process queues of a receive-ordered computation (CPDSC,
+//    detect/cpdsc.h): Property P of Sec. 3.2.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "clocks/vector_clock.h"
@@ -24,22 +32,31 @@
 
 namespace gpd::detect {
 
-// Events must be listed in causal order: events[i] ≤ events[i+1].
-struct Chain {
-  std::vector<EventId> events;
-};
+// A causal chain of events: events[i] ≤ events[i+1].
+using Chain = std::vector<EventId>;
+
+// One slot's candidate list, read in place.
+using Candidates = std::span<const EventId>;
 
 struct ConjunctiveResult {
   bool found = false;
-  std::vector<EventId> witness;  // one event per chain, pairwise consistent
+  std::vector<EventId> witness;  // one event per slot, pairwise consistent
   std::optional<Cut> cut;        // least consistent cut through the witness
   std::uint64_t comparisons = 0; // consistency checks performed
 };
 
-// Core scan. Chains must be non-empty... an empty chain yields "not found"
-// immediately. Chains from different slots must not interleave events of one
-// process out of order — in this library they never share processes (clause
-// groups are disjoint), which the function checks via GPD_DCHECK.
+// The one scan. No lists: found at the initial cut; an empty list: not
+// found. The caller vouches for the list order (see above); the scan
+// neither checks it nor records metrics.
+ConjunctiveResult eliminationScan(const VectorClocks& clocks,
+                                  std::span<const Candidates> lists);
+
+// CPDHB over causal chains: the one scan, a GPD_DCHECK of each chain's
+// causal order, and the cpdhb_invocations / cpdhb_comparisons counters.
+// Chains of different slots may share events (the witness then names one
+// event twice).
+ConjunctiveResult findConsistentSelection(const VectorClocks& clocks,
+                                          std::span<const Candidates> chains);
 ConjunctiveResult findConsistentSelection(const VectorClocks& clocks,
                                           const std::vector<Chain>& chains);
 

@@ -227,10 +227,10 @@ struct SkeletonPruning {
 SkeletonPruning pruneSingularOdometer(const VectorClocks& clocks,
                                       const VariableTrace& trace,
                                       const CnfPredicate& pred,
-                                      const analyze::CnfClassification* cls) {
+                                      const analyze::CnfClassification& cls) {
   SkeletonPruning out;
-  if (cls == nullptr || cls->singleProcessClauses == 0) return out;
-  if (cls->chainCoverBound() <= 64) return out;
+  if (cls.singleProcessClauses == 0) return out;
+  if (cls.chainCoverBound() <= 64) return out;
   out.built = true;
   // Unbudgeted on purpose: the build is O(|E|) linear walks — tiny against
   // the >64-combination enumeration it prunes — and budget-independence
@@ -250,18 +250,6 @@ SkeletonPruning pruneSingularOdometer(const VectorClocks& clocks,
     out.admitted[static_cast<std::size_t>(node)] = slice.included(node) ? 1 : 0;
   }
   return out;
-}
-
-// The classifier's per-clause chain covers in the enumeration's form.
-std::vector<std::vector<Chain>> plannedCovers(
-    const analyze::CnfClassification& cls) {
-  std::vector<std::vector<Chain>> covers(cls.clauses.size());
-  for (std::size_t j = 0; j < cls.clauses.size(); ++j) {
-    for (const std::vector<EventId>& chain : cls.clauses[j].cover) {
-      covers[j].push_back(Chain{chain});
-    }
-  }
-  return covers;
 }
 
 // Feeds the planner-accuracy metrics once a predicted enumeration step has
@@ -508,40 +496,31 @@ Detection Detector::possibly(const CnfPredicate& pred,
       report_, budget, lastAlgorithm_, [&](const analyze::PlanStep& step) {
         switch (step.algorithm) {
           case analyze::Algorithm::CpdscSpecialCase: {
+            // The planner's group order and clause-true events.
             const CpdscResult special =
-                detectSingularSpecialCase(clocks_, *trace_, pred);
+                detectSingularSpecialCase(clocks_, *report_.cnf);
             GPD_CHECK_MSG(special.applicable(),
-                          "planner chose CPDSC but the scan found the groups "
-                          "unordered");
+                          "planner chose CPDSC for unordered groups");
             return exactPossibly(special.found()
                                      ? std::optional<Cut>(special.cut)
                                      : std::nullopt);
           }
-          case analyze::Algorithm::SingularChainCover:
-          case analyze::Algorithm::SingularProcessEnumeration: {
-            const analyze::CnfClassification* cls =
-                report_.cnf.has_value() ? &*report_.cnf : nullptr;
+          case analyze::Algorithm::SingularChainCover: {
+            const analyze::CnfClassification& cls = *report_.cnf;
             SkeletonPruning pruning;
             if (slicing_) {
               pruning = pruneSingularOdometer(clocks_, *trace_, pred, cls);
             }
             if (pruning.built) lastSlice_ = pruning.strace;
             if (pruning.unsatisfiable) return exactRun(Outcome::No);
-            const std::vector<char>* admitted =
-                pruning.active ? &pruning.admitted : nullptr;
-            SingularCnfResult res;
-            if (step.algorithm ==
-                analyze::Algorithm::SingularProcessEnumeration) {
-              res = detectSingularByProcessEnumeration(
-                  clocks_, *trace_, pred, &budget, pool_, admitted);
-            } else if (admitted == nullptr && cls != nullptr) {
-              // The planner covered the same clause-true events already.
-              res = detectSingularByChainCover(clocks_, plannedCovers(*cls),
-                                               &budget, pool_);
-            } else {
-              res = detectSingularByChainCover(clocks_, *trace_, pred,
-                                               &budget, pool_, admitted);
-            }
+            // Unpruned, the planner covered the same clause-true events
+            // already; pruned, the admitted events need their own covers.
+            const SingularCnfResult res =
+                pruning.active
+                    ? detectSingularByChainCover(clocks_, *trace_, pred,
+                                                 &budget, pool_,
+                                                 &pruning.admitted)
+                    : detectSingularByChainCover(clocks_, cls, &budget, pool_);
             if (res.found) return exactRun(Outcome::Yes, res.cut);
             if (!res.complete) return stoppedRun();
             return exactRun(Outcome::No);

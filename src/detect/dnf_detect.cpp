@@ -48,7 +48,7 @@ DnfResult possiblyExpression(const VectorClocks& clocks,
       const std::vector<char> truth = eventTruth(trace, p, term, Join::All);
       Chain& chain = chains.emplace_back();
       for (int i = 0; i < comp.eventCount(p); ++i) {
-        if (truth[i]) chain.events.push_back({p, i});
+        if (truth[i]) chain.push_back({p, i});
       }
     }
     const ConjunctiveResult sub = findConsistentSelection(clocks, chains);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "analyze/classify.h"
 #include "clocks/chain_cover.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,9 +12,9 @@ namespace gpd::detect {
 
 namespace {
 
-// Runs the CPDHB scan over every selection of one chain per group, stopping
-// at the first hit or when the budget trips. `options[j]` lists group j's
-// candidate chains.
+// Group j's candidate chains, read in place.
+using Options = std::vector<const std::vector<Chain>*>;
+
 // Annotates the enumeration span and publishes per-run totals once the
 // odometer stops, on every exit path (hit, exhausted, budget trip).
 // Templated so it accepts the NullSpan stand-in under GPD_OBS_DISABLED.
@@ -31,31 +30,51 @@ void recordEnumeration(SpanT& span, const SingularCnfResult& result) {
   GPD_OBS_HISTOGRAM("enumeration_combinations", result.combinationsTried);
 }
 
-// Parallel form of the odometer scan. Combinations are numbered by their
-// linear odometer index (group 0 is the fastest digit, exactly the order
-// the sequential scan walks), workers claim contiguous chunks of indices
-// in increasing order, and a satisfying combination short-circuits the
-// scan via the shared `bestIndex` watermark. Determinism contract:
+// The odometer: runs the CPDHB scan over every selection of one chain per
+// group, stopping at the first hit or when the budget trips. Selections are
+// numbered by their linear odometer index (group 0 is the fastest digit);
+// workers claim contiguous chunks of indices in increasing order — one
+// worker, inline, without a pool — and a satisfying selection
+// short-circuits the scan via the shared `bestIndex` watermark. Contract:
 //  - the reported witness is the LOWEST satisfying index, not the first
 //    finisher's — every index below the eventual best is scanned (a chunk
 //    is only abandoned for indices above the watermark, and the watermark
 //    only ever holds genuine Yes indices);
-//  - a combination budget caps the scanned prefix to
-//    limit = min(total, remainingCombinations): exactly the indices the
-//    sequential odometer would have charged before the CombinationLimit
-//    latch. When limit < total and no witness was found, one extra charge
-//    latches the same StopReason the sequential scan would have.
-// Count-based budgets therefore reproduce sequential verdicts bit-for-bit;
-// deadline/cancel budgets remain timing-dependent, as they already are
-// sequentially.
-template <typename SpanT>
-void enumerateSelectionsParallel(
-    SpanT& span, const VectorClocks& clocks,
-    const std::vector<std::vector<Chain>>& options, control::Budget* budget,
-    par::Pool& pool, SingularCnfResult& result) {
-  const int m = static_cast<int>(options.size());
-  const int workers = pool.threads();
-  span.attrInt("threads", workers);
+//  - a combination budget caps the scan to the prefix
+//    limit = min(total, remainingCombinations), charged one index at a
+//    time; when limit < total and no witness was found, one extra charge
+//    latches the budget's CombinationLimit. On a Yes, claims that raced the
+//    watermark are refunded, leaving best + 1 charged.
+// Count-based budgets therefore give the same result for any thread count;
+// deadline/cancel budgets stop wherever their clock or token says.
+SingularCnfResult enumerateSelections(const VectorClocks& clocks,
+                                      const Options& options,
+                                      control::Budget* budget,
+                                      par::Pool* pool) {
+  GPD_TRACE_SPAN_NAMED(span, "detect.singular_enumeration");
+  SingularCnfResult result;
+  // The space size is Π |options[j]|, which overflows uint64 already at
+  // 64 two-chain groups; saturate instead of wrapping (a wrap to zero would
+  // read as "some clause never true" and fabricate an exact No). Indices
+  // past UINT64_MAX are unaddressable, so a saturated space scans only its
+  // first UINT64_MAX selections — a budget stops it long before.
+  result.combinationsTotal = 1;
+  for (const std::vector<Chain>* opts : options) {
+    if (opts->empty()) {
+      result.combinationsTotal = 0;
+      recordEnumeration(span, result);
+      return result;  // some clause never true: exact No
+    }
+    if (result.combinationsTotal > UINT64_MAX / opts->size()) {
+      result.combinationsTotal = UINT64_MAX;
+    } else {
+      result.combinationsTotal *= opts->size();
+    }
+  }
+
+  const std::size_t m = options.size();
+  const int workers = pool != nullptr ? pool->threads() : 1;
+  if (pool != nullptr) span.attrInt("threads", workers);
   const std::uint64_t limit = std::min(
       result.combinationsTotal,
       budget != nullptr ? budget->remainingCombinations() : UINT64_MAX);
@@ -74,40 +93,35 @@ void enumerateSelectionsParallel(
   };
   std::vector<WorkerOut> outs(static_cast<std::size_t>(workers));
 
-  pool.run([&](int w) {
-    GPD_TRACE_SPAN_NAMED(wspan, "par.enumeration_worker");
-    wspan.attrInt("worker", w);
-    WorkerOut& out = outs[static_cast<std::size_t>(w)];
+  const auto scan = [&](std::size_t w) {
+    WorkerOut& out = outs[w];
     std::vector<std::size_t> pick(m, 0);
-    std::vector<Chain> chains(m);
+    std::vector<Candidates> chains(m);
     while (true) {
       const std::uint64_t start =
           nextStart.fetch_add(chunk, std::memory_order_relaxed);
-      if (start >= limit) break;
+      if (start >= limit) return;
       // Chunks are claimed in increasing order, so once the watermark is
       // below this chunk no later chunk can matter either.
-      if (start > bestIndex.load(std::memory_order_relaxed)) break;
-      if (stopped.load(std::memory_order_relaxed)) break;
+      if (start > bestIndex.load(std::memory_order_relaxed)) return;
+      if (stopped.load(std::memory_order_relaxed)) return;
       const std::uint64_t end = std::min(limit, start + chunk);
       // Decode the odometer digits at `start`, then step incrementally.
       std::uint64_t rem = start;
-      for (int j = 0; j < m; ++j) {
-        pick[static_cast<std::size_t>(j)] = rem % options[j].size();
-        rem /= options[j].size();
+      for (std::size_t j = 0; j < m; ++j) {
+        pick[j] = rem % options[j]->size();
+        rem /= options[j]->size();
       }
-      bool abandon = false;
       for (std::uint64_t i = start; i < end; ++i) {
         if (i > bestIndex.load(std::memory_order_relaxed) ||
             stopped.load(std::memory_order_relaxed)) {
-          abandon = true;
-          break;
+          return;
         }
         if (budget != nullptr && !budget->chargeCombination()) {
           stopped.store(true, std::memory_order_relaxed);
-          abandon = true;
-          break;
+          return;
         }
-        for (int j = 0; j < m; ++j) chains[j] = options[j][pick[j]];
+        for (std::size_t j = 0; j < m; ++j) chains[j] = (*options[j])[pick[j]];
         ++out.tried;
         ConjunctiveResult sub = findConsistentSelection(clocks, chains);
         out.comparisons += sub.comparisons;
@@ -119,22 +133,30 @@ void enumerateSelectionsParallel(
           // This worker scans ascending, so its first hit is its lowest;
           // everything above is moot for it.
           out.foundIndex = i;
-          out.cut = sub.cut;
+          out.cut = std::move(sub.cut);
           out.witness = std::move(sub.witness);
-          abandon = true;
-          break;
+          return;
         }
         // Advance the odometer one step.
-        int j = 0;
-        while (j < m && ++pick[j] >= options[j].size()) {
+        std::size_t j = 0;
+        while (j < m && ++pick[j] >= options[j]->size()) {
           pick[j] = 0;
           ++j;
         }
       }
-      if (abandon) break;
     }
-    wspan.attrInt("tried", static_cast<std::int64_t>(out.tried));
-  });
+  };
+  if (pool == nullptr) {
+    scan(0);
+  } else {
+    pool->run([&](int w) {
+      GPD_TRACE_SPAN_NAMED(wspan, "par.enumeration_worker");
+      wspan.attrInt("worker", w);
+      scan(static_cast<std::size_t>(w));
+      wspan.attrInt("tried", static_cast<std::int64_t>(
+                                 outs[static_cast<std::size_t>(w)].tried));
+    });
+  }
 
   for (const WorkerOut& out : outs) {
     result.combinationsTried += out.tried;
@@ -142,8 +164,8 @@ void enumerateSelectionsParallel(
   }
   const std::uint64_t best = bestIndex.load(std::memory_order_relaxed);
   if (best != UINT64_MAX) {
-    // A Yes reports the sequential scan's progress, best + 1 selections:
-    // claims that raced the watermark are refunded to the budget.
+    // A Yes reports best + 1 selections tried: claims that raced the
+    // watermark are refunded to the budget.
     const std::uint64_t tried = std::min(result.combinationsTried, best + 1);
     if (budget != nullptr) {
       budget->refundCombinations(result.combinationsTried - tried);
@@ -152,7 +174,7 @@ void enumerateSelectionsParallel(
     for (WorkerOut& out : outs) {
       if (out.foundIndex == best) {
         result.found = true;
-        result.cut = out.cut;
+        result.cut = std::move(out.cut);
         result.witness = std::move(out.witness);
         break;
       }
@@ -161,75 +183,20 @@ void enumerateSelectionsParallel(
     result.complete = false;  // a mid-scan charge failed (deadline/cancel)
   } else if (limit < result.combinationsTotal) {
     // The whole budgeted prefix was scanned without a hit; charge once more
-    // so the budget latches CombinationLimit exactly like the sequential
-    // scan's next charge would have.
+    // so the budget latches CombinationLimit, as the next selection's
+    // charge would have.
     if (budget != nullptr) budget->chargeCombination();
     result.complete = false;
   }
   recordEnumeration(span, result);
+  return result;
 }
 
-SingularCnfResult enumerateSelections(const VectorClocks& clocks,
-                                      const std::vector<std::vector<Chain>>& options,
-                                      control::Budget* budget, par::Pool* pool) {
-  GPD_TRACE_SPAN_NAMED(span, "detect.singular_enumeration");
-  SingularCnfResult result;
-  // The space size is Π |options[j]|, which overflows uint64 already at
-  // 64 two-chain groups; saturate instead of wrapping (a wrap to zero would
-  // read as "some clause never true" and fabricate an exact No).
-  result.combinationsTotal = 1;
-  for (const auto& opts : options) {
-    if (opts.empty()) {
-      result.combinationsTotal = 0;
-      recordEnumeration(span, result);
-      return result;  // some clause never true: exact No
-    }
-    if (result.combinationsTotal > UINT64_MAX / opts.size()) {
-      result.combinationsTotal = UINT64_MAX;
-    } else {
-      result.combinationsTotal *= opts.size();
-    }
-  }
-
-  // A saturated total breaks linear-index chunking (indices past UINT64_MAX
-  // are unaddressable), so such spaces stay on the sequential odometer —
-  // they are budget-stopped long before the distinction could matter.
-  if (pool != nullptr && result.combinationsTotal != UINT64_MAX) {
-    enumerateSelectionsParallel(span, clocks, options, budget, *pool, result);
-    return result;
-  }
-
-  const int m = static_cast<int>(options.size());
-  std::vector<std::size_t> pick(m, 0);
-  std::vector<Chain> chains(m);
-  while (true) {
-    if (budget != nullptr && !budget->chargeCombination()) {
-      result.complete = false;  // untried selections remain
-      recordEnumeration(span, result);
-      return result;
-    }
-    for (int j = 0; j < m; ++j) chains[j] = options[j][pick[j]];
-    ++result.combinationsTried;
-    ConjunctiveResult sub = findConsistentSelection(clocks, chains);
-    result.comparisons += sub.comparisons;
-    if (sub.found) {
-      result.found = true;
-      result.cut = sub.cut;
-      result.witness = std::move(sub.witness);
-      recordEnumeration(span, result);
-      return result;
-    }
-    // Advance the odometer.
-    int j = 0;
-    while (j < m && ++pick[j] >= options[j].size()) {
-      pick[j] = 0;
-      ++j;
-    }
-    if (j == m) {
-      recordEnumeration(span, result);
-      return result;
-    }
-  }
+// The per-clause chain lists of `covers`, in place.
+Options optionsOf(const std::vector<std::vector<Chain>>& covers) {
+  Options options;
+  for (const std::vector<Chain>& cover : covers) options.push_back(&cover);
+  return options;
 }
 
 }  // namespace
@@ -245,17 +212,17 @@ SingularCnfResult detectSingularByProcessEnumeration(
       analyze::clauseTrueEvents(trace, pred, admittedNode);
   // Group j's options: one chain per hosting process (per-process true
   // events are totally ordered by the process order).
-  std::vector<std::vector<Chain>> options(pred.clauses.size());
+  std::vector<std::vector<Chain>> chains(pred.clauses.size());
   for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
     for (ProcessId p : pred.clauseProcesses(static_cast<int>(j))) {
       Chain chain;
       for (const EventId& e : trueEvents[j]) {
-        if (e.process == p) chain.events.push_back(e);
+        if (e.process == p) chain.push_back(e);
       }
-      if (!chain.events.empty()) options[j].push_back(std::move(chain));
+      if (!chain.empty()) chains[j].push_back(std::move(chain));
     }
   }
-  return enumerateSelections(clocks, options, budget, pool);
+  return enumerateSelections(clocks, optionsOf(chains), budget, pool);
 }
 
 std::vector<std::vector<Chain>> clauseChainCovers(
@@ -265,9 +232,7 @@ std::vector<std::vector<Chain>> clauseChainCovers(
   const auto trueEvents = analyze::clauseTrueEvents(trace, pred, admittedNode);
   std::vector<std::vector<Chain>> covers(pred.clauses.size());
   for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
-    for (std::vector<EventId>& chain : chainCover(clocks, trueEvents[j])) {
-      covers[j].push_back(Chain{std::move(chain)});
-    }
+    covers[j] = chainCover(clocks, trueEvents[j]);
   }
   return covers;
 }
@@ -277,17 +242,24 @@ SingularCnfResult detectSingularByChainCover(
     const CnfPredicate& pred, control::Budget* budget, par::Pool* pool,
     const std::vector<char>* admittedNode) {
   GPD_CHECK_MSG(pred.isSingular(), "predicate is not singular");
-  return detectSingularByChainCover(
-      clocks, clauseChainCovers(clocks, trace, pred, admittedNode), budget,
-      pool);
+  const std::vector<std::vector<Chain>> covers =
+      clauseChainCovers(clocks, trace, pred, admittedNode);
+  GPD_TRACE_SPAN_NAMED(span, "detect.chain_cover_enumeration");
+  span.attrInt("clauses", static_cast<std::int64_t>(covers.size()));
+  return enumerateSelections(clocks, optionsOf(covers), budget, pool);
 }
 
 SingularCnfResult detectSingularByChainCover(
-    const VectorClocks& clocks, const std::vector<std::vector<Chain>>& covers,
+    const VectorClocks& clocks, const analyze::CnfClassification& cls,
     control::Budget* budget, par::Pool* pool) {
+  GPD_CHECK_MSG(cls.singular, "predicate is not singular");
   GPD_TRACE_SPAN_NAMED(span, "detect.chain_cover_enumeration");
-  span.attrInt("clauses", static_cast<std::int64_t>(covers.size()));
-  return enumerateSelections(clocks, covers, budget, pool);
+  span.attrInt("clauses", static_cast<std::int64_t>(cls.clauses.size()));
+  Options options;
+  for (const analyze::ClauseFacts& facts : cls.clauses) {
+    options.push_back(&facts.cover);
+  }
+  return enumerateSelections(clocks, options, budget, pool);
 }
 
 }  // namespace gpd::detect

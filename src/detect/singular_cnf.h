@@ -12,17 +12,23 @@
 //      combinations where cⱼ ≤ k is the cover size (cⱼ beats k whenever
 //      messages order true events across the group's processes).
 //
-// Both reduce to the chain-generalized CPDHB scan in detect/cpdhb.h, and
-// both find a witness cut when the predicate possibly holds. The clause
-// true events come from analyze::clauseTrueEvents and the covers from
-// clocks/chain_cover.h — the classifier's copies, so the Detector can hand
-// the planner's covers to (b) instead of building them a second time.
+// Both are one odometer over selections of one chain per group, each
+// selection one CPDHB scan (detect/cpdhb.h) that reads its chains in place,
+// and both find a witness cut when the predicate possibly holds. The
+// odometer is a chunked scan: with a pool its workers claim chunks of
+// selection indices, without one it runs inline as a single worker. The
+// clause true events come from analyze::clauseTrueEvents and the covers
+// from clocks/chain_cover.h — the classifier's copies, so the Detector
+// hands the planner's covers to (b) instead of building them a second time.
+// The Detector runs (b) only: its plan ranks (a) after (b) with a
+// prediction Π kⱼ ≥ Π cⱼ; (a) stays for the E6 bench's k^m column.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "analyze/classify.h"
 #include "clocks/vector_clock.h"
 #include "computation/cut.h"
 #include "control/budget.h"
@@ -48,15 +54,14 @@ struct SingularCnfResult {
 // combination per CPDHB invocation; on exhaustion the result carries
 // complete=false and the selections tried so far.
 //
-// With a pool, combinations fan out across the workers in deterministic
-// index order: the verdict, witness (lowest satisfying combination index),
-// combinationsTotal, complete flag and combinationsTried (on a Yes, the
-// witness index + 1, also what the budget is left charged with) are
-// bit-identical to the sequential scan for any thread count — only
-// comparisons, summed over every claim a worker made, may differ. A
-// combination budget caps
-// the scanned prefix to exactly the indices the sequential odometer would
-// have charged.
+// Selections are numbered by their odometer index (group 0 is the fastest
+// digit). The verdict, witness (lowest satisfying index), combinationsTotal,
+// complete flag and combinationsTried (on a Yes, the witness index + 1, also
+// what the budget is left charged with) are the same with or without a pool
+// and for any thread count — only comparisons, summed over every claim a
+// worker made, may differ. A combination budget caps the scan to the index
+// prefix it can pay for, and a scan that ends inside the space without a
+// hit charges once more, latching the budget's CombinationLimit.
 SingularCnfResult detectSingularByProcessEnumeration(
     const VectorClocks& clocks, const VariableTrace& trace,
     const CnfPredicate& pred, control::Budget* budget = nullptr,
@@ -72,11 +77,11 @@ SingularCnfResult detectSingularByChainCover(
     par::Pool* pool = nullptr,
     const std::vector<char>* admittedNode = nullptr);
 
-// Sec. 3.3(b) over covers already built, one per clause of a singular CNF
-// in clause order — e.g. the planner's (analyze::ClauseFacts::cover), which
-// are the covers the overload above would build without a mask.
+// Sec. 3.3(b) over the classifier's covers (analyze::ClauseFacts::cover) of
+// a singular CNF, read in place — the covers the overload above builds
+// without a mask.
 SingularCnfResult detectSingularByChainCover(
-    const VectorClocks& clocks, const std::vector<std::vector<Chain>>& covers,
+    const VectorClocks& clocks, const analyze::CnfClassification& cls,
     control::Budget* budget = nullptr, par::Pool* pool = nullptr);
 
 // Minimum chain covers (clocks/chain_cover.h) of each clause's

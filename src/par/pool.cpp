@@ -4,10 +4,12 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "util/check.h"
+#include "util/number.h"
 
 namespace gpd::par {
 
@@ -90,11 +92,10 @@ int envThreads() {
   // Read once at pool construction, before any worker exists; nothing in
   // the process mutates the environment.
   const char* raw = std::getenv("GPD_THREADS");  // NOLINT(concurrency-mt-unsafe)
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == nullptr || *end != '\0' || v < 1 || v > 4096) return 0;
-  return static_cast<int>(v);
+  if (raw == nullptr) return 0;
+  const std::optional<long long> v = parseInteger(raw);
+  if (!v.has_value() || *v < 1 || *v > 4096) return 0;
+  return static_cast<int>(*v);
 }
 
 }  // namespace gpd::par

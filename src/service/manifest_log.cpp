@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "io/token_reader.h"
 #include "obs/metrics.h"
 #include "util/check.h"
+#include "util/number.h"
 
 namespace gpd::service {
 
@@ -62,17 +64,13 @@ std::set<std::uint64_t> deltaIndicesOnDisk(const std::string& fullPath) {
         name.compare(0, prefix.size(), prefix) != 0) {
       continue;
     }
+    // Only the names deltaPath writes: a plain decimal index from 1, so
+    // "<name>.delta.1x", ".delta.+1" or ".delta.01" are not deltas.
     const std::string tail = name.substr(prefix.size());
-    std::uint64_t idx = 0;
-    bool numeric = !tail.empty();
-    for (char c : tail) {
-      if (c < '0' || c > '9' || idx > (1ull << 40)) {
-        numeric = false;
-        break;
-      }
-      idx = idx * 10 + static_cast<std::uint64_t>(c - '0');
+    const std::optional<std::uint64_t> idx = parseUnsigned(tail);
+    if (idx.has_value() && *idx >= 1 && std::to_string(*idx) == tail) {
+      out.insert(*idx);
     }
-    if (numeric && idx >= 1) out.insert(idx);
   }
   return out;
 }

@@ -3,7 +3,7 @@
 // the combinationsTotal the Sec. 3.3 detectors later report — the planner
 // is a cost oracle, not an estimate. Plus: routing agreement between
 // Detector and the lattice ground truth, Sec. 3.2 precondition agreement
-// with detect::isReceiveOrdered/isSendOrdered, and hint correctness.
+// with a brute-force pairwise test, and hint correctness.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -39,6 +39,32 @@ struct Scenario {
     vars(trace);
   }
 };
+
+// The Sec. 3.2 precondition by brute force, apart from analyze::groupOrder:
+// every two receive (or send) events on one clause's processes are
+// causally ordered.
+bool groupsOrdered(const Scenario& s, const CnfPredicate& pred,
+                   bool receives) {
+  for (std::size_t j = 0; j < pred.clauses.size(); ++j) {
+    std::vector<EventId> events;
+    for (ProcessId p : pred.clauseProcesses(static_cast<int>(j))) {
+      for (int i = 0; i < s.comp.eventCount(p); ++i) {
+        const EventId e{p, i};
+        if (!(receives ? s.comp.incomingMessages(e)
+                       : s.comp.outgoingMessages(e))
+                 .empty()) {
+          events.push_back(e);
+        }
+      }
+    }
+    for (const EventId& a : events) {
+      for (const EventId& b : events) {
+        if (s.clocks.concurrent(a, b)) return false;
+      }
+    }
+  }
+  return true;
+}
 
 Scenario randomBoolScenario(int processes, int eventsPerProcess, Rng& rng,
                             double density = 0.4) {
@@ -174,14 +200,11 @@ TEST(Plan, PredictsExactCombinationsTotalForSingularCnf) {
     EXPECT_LE(*chain->predictedCpdhbInvocations,
               *proc->predictedCpdhbInvocations);
 
-    // Sec. 3.2 preconditions agree with the detection layer, and so does the
-    // special-case step's applicability.
-    const detect::Groups groups = detect::groupsOfSingularCnf(pred);
+    // Sec. 3.2 preconditions agree with the brute-force test, and so does
+    // the special-case step's applicability.
     ASSERT_TRUE(report.cnf.has_value());
-    EXPECT_EQ(report.cnf->receiveOrdered,
-              detect::isReceiveOrdered(s.clocks, groups));
-    EXPECT_EQ(report.cnf->sendOrdered,
-              detect::isSendOrdered(s.clocks, groups));
+    EXPECT_EQ(report.cnf->receiveOrdered, groupsOrdered(s, pred, true));
+    EXPECT_EQ(report.cnf->sendOrdered, groupsOrdered(s, pred, false));
     const PlanStep* special = findStep(report, Algorithm::CpdscSpecialCase);
     ASSERT_NE(special, nullptr);
     EXPECT_EQ(special->applicable,

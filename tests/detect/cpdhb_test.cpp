@@ -14,7 +14,7 @@ TEST(CpdhbTest, EmptyChainListTriviallyFound) {
   ComputationBuilder b(1);
   const Computation c = std::move(b).build();
   const VectorClocks vc(c);
-  const auto res = findConsistentSelection(vc, {});
+  const auto res = findConsistentSelection(vc, std::vector<Chain>{});
   EXPECT_TRUE(res.found);
 }
 
@@ -24,7 +24,7 @@ TEST(CpdhbTest, EmptyChainMeansNotFound) {
   const Computation c = std::move(b).build();
   const VectorClocks vc(c);
   std::vector<Chain> chains(2);
-  chains[0].events = {{0, 1}};
+  chains[0] = {{0, 1}};
   const auto res = findConsistentSelection(vc, chains);
   EXPECT_FALSE(res.found);
 }
@@ -36,8 +36,8 @@ TEST(CpdhbTest, ConcurrentTrueEventsFound) {
   const Computation c = std::move(b).build();
   const VectorClocks vc(c);
   std::vector<Chain> chains(2);
-  chains[0].events = {{0, 1}};
-  chains[1].events = {{1, 1}};
+  chains[0] = {{0, 1}};
+  chains[1] = {{1, 1}};
   const auto res = findConsistentSelection(vc, chains);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.witness.size(), 2u);
@@ -56,8 +56,8 @@ TEST(CpdhbTest, MessageOrderingEliminatesEarlyEvent) {
   const Computation c = std::move(b).build();
   const VectorClocks vc(c);
   std::vector<Chain> chains(2);
-  chains[0].events = {e1};
-  chains[1].events = {f1};
+  chains[0] = {e1};
+  chains[1] = {f1};
   EXPECT_FALSE(findConsistentSelection(vc, chains).found);
 }
 
@@ -72,8 +72,8 @@ TEST(CpdhbTest, AdvancesToLaterTrueEvent) {
   const Computation c = std::move(b).build();
   const VectorClocks vc(c);
   std::vector<Chain> chains(2);
-  chains[0].events = {e1, e3};
-  chains[1].events = {f1};
+  chains[0] = {e1, e3};
+  chains[1] = {f1};
   const auto res = findConsistentSelection(vc, chains);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.witness[0], e3);
@@ -86,8 +86,8 @@ TEST(CpdhbTest, DuplicateEventAcrossChains) {
   const Computation c = std::move(b).build();
   const VectorClocks vc(c);
   std::vector<Chain> chains(2);
-  chains[0].events = {e1};
-  chains[1].events = {e1};
+  chains[0] = {e1};
+  chains[1] = {e1};
   const auto res = findConsistentSelection(vc, chains);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.witness[0], res.witness[1]);

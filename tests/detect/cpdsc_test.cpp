@@ -42,7 +42,8 @@ TEST(CpdscTest, GeneratedReceiveOrderedComputationsQualify) {
     opt.discipline = OrderingDiscipline::ReceiveOrdered;
     const Computation c = randomGroupedComputation(opt, rng);
     const VectorClocks vc(c);
-    EXPECT_TRUE(isReceiveOrdered(vc, consecutiveGroups(3, 2)));
+    EXPECT_TRUE(
+        analyze::groupOrder(vc, consecutiveGroups(3, 2)).receiveOrdered);
   }
 }
 
@@ -57,7 +58,7 @@ TEST(CpdscTest, GeneratedSendOrderedComputationsQualify) {
     opt.discipline = OrderingDiscipline::SendOrdered;
     const Computation c = randomGroupedComputation(opt, rng);
     const VectorClocks vc(c);
-    EXPECT_TRUE(isSendOrdered(vc, consecutiveGroups(3, 2)));
+    EXPECT_TRUE(analyze::groupOrder(vc, consecutiveGroups(3, 2)).sendOrdered);
   }
 }
 
@@ -71,7 +72,8 @@ TEST(CpdscTest, SingleProcessGroupsAlwaysApplicable) {
   opt.messageProbability = 0.8;
   const Computation c = randomComputation(opt, rng);
   const VectorClocks vc(c);
-  EXPECT_TRUE(isReceiveOrdered(vc, consecutiveGroups(4, 1)));
+  EXPECT_TRUE(
+      analyze::groupOrder(vc, consecutiveGroups(4, 1)).receiveOrdered);
 }
 
 struct SpecialCaseParams {
@@ -155,6 +157,21 @@ TEST(CpdscTest, AgreesWithGeneralAlgorithmsWhenApplicable) {
   }
 }
 
+// No clauses: every group order holds vacuously and the one scan, given
+// no queues, answers at the initial cut.
+TEST(CpdscTest, EmptyCnfHoldsAtTheInitialCut) {
+  ComputationBuilder b(2);
+  b.appendEvent(0);
+  const Computation c = std::move(b).build();
+  const VariableTrace trace(c);
+  const VectorClocks vc(c);
+  const CpdscResult res = detectSingularSpecialCase(vc, trace, CnfPredicate{});
+  ASSERT_TRUE(res.found());
+  EXPECT_TRUE(res.witness.empty());
+  ASSERT_TRUE(res.cut.has_value());
+  EXPECT_EQ(res.cut->last, initialCut(c).last);
+}
+
 TEST(CpdscTest, NotApplicableOnCrossingReceives) {
   // Two processes in one group, each receiving from outside, with the
   // receives concurrent: not receive-ordered; sends on a third process
@@ -175,8 +192,10 @@ TEST(CpdscTest, NotApplicableOnCrossingReceives) {
   pred.clauses = {{{0, "x", true}, {1, "x", true}},
                   {{2, "x", true}, {3, "x", true}}};
   const VectorClocks vc(c);
-  EXPECT_FALSE(isReceiveOrdered(vc, groupsOfSingularCnf(pred)));
-  EXPECT_FALSE(isSendOrdered(vc, groupsOfSingularCnf(pred)));
+  const analyze::GroupOrder order =
+      analyze::groupOrder(vc, groupsOfSingularCnf(pred));
+  EXPECT_FALSE(order.receiveOrdered);
+  EXPECT_FALSE(order.sendOrdered);
   const CpdscResult res = detectSingularSpecialCase(vc, trace, pred);
   EXPECT_FALSE(res.applicable());
 }

@@ -139,9 +139,9 @@ TEST(SingularCnfTest, ChainCoverIsValidPartition) {
     for (std::size_t j = 0; j < covers.size(); ++j) {
       std::size_t covered = 0;
       for (const Chain& chain : covers[j]) {
-        covered += chain.events.size();
-        for (std::size_t i = 0; i + 1 < chain.events.size(); ++i) {
-          EXPECT_TRUE(vc.leq(chain.events[i], chain.events[i + 1]));
+        covered += chain.size();
+        for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+          EXPECT_TRUE(vc.leq(chain[i], chain[i + 1]));
         }
       }
       EXPECT_EQ(covered, trueEvents[j].size());

@@ -112,6 +112,12 @@ TEST_F(CliExitTest, BadInputExitsOne) {
   // invariant.
   EXPECT_EQ(runTool("detect " + tracePath() + " conj 4294967296:b"), 1);
   EXPECT_EQ(runTool("detect " + tracePath() + " sym exactly:99 x"), 1);
+  // CNF literals are checked against the trace like conjunctive terms: a
+  // process past the trace's 5, or a variable it does not carry.
+  EXPECT_EQ(runTool("detect " + tracePath() + " cnf 9:b"), 1);
+  EXPECT_EQ(runTool("detect " + tracePath() + " cnf 0:nosuch,1:b"), 1);
+  EXPECT_EQ(runTool("plan " + tracePath() + " cnf 9:b"), 1);
+  EXPECT_EQ(runTool("plan " + tracePath() + " cnf 0:nosuch,1:b"), 1);
 }
 
 // Sums whose arithmetic would overflow int64 are bad input (exit 1), not a

@@ -150,6 +150,26 @@ TEST_F(DetectObsTest, ChainCoverQueryBuildsOneCoverPerClause) {
   EXPECT_GE(checked, 5);
 }
 
+// Routing classifies without the lattice-backed hints, so a query the
+// chain cover answers never binds the predicate for a lattice sweep: no
+// exploration runs and no cut is visited.
+TEST_F(DetectObsTest, ChainCoverQueryExploresNoLattice) {
+  const CnfPredicate pred = singularCnf();
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Grouped g(rng);
+    detect::Detector det(g.trace);
+    registry().reset();
+    (void)det.possibly(pred);
+    if (det.lastAlgorithm() != "singular-chain-cover") continue;
+    EXPECT_EQ(counterValue("lattice_explorations"), 0u) << "seed " << seed;
+    EXPECT_EQ(counterValue("cuts_enumerated"), 0u) << "seed " << seed;
+    ++checked;
+  }
+  EXPECT_GE(checked, 5);
+}
+
 // With the skeleton pruning active the enumeration covers the admitted
 // events only, so each clause's cover is built a second time.
 TEST_F(DetectObsTest, PrunedChainCoverQueryRebuildsEachCover) {

@@ -64,6 +64,11 @@ TEST(PoolTest, EnvThreadsParsesGpdThreads) {
   EXPECT_EQ(envThreads(), 8);
   setenv("GPD_THREADS", "1", 1);
   EXPECT_EQ(envThreads(), 1);
+  // The one number rule of util/number.h: an optional sign, then digits.
+  setenv("GPD_THREADS", "+4", 1);
+  EXPECT_EQ(envThreads(), 4);
+  setenv("GPD_THREADS", "4x", 1);
+  EXPECT_EQ(envThreads(), 0);
   // Everything non-positive, non-numeric, or absurd means "no pool".
   setenv("GPD_THREADS", "0", 1);
   EXPECT_EQ(envThreads(), 0);

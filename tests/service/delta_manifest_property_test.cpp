@@ -170,6 +170,16 @@ TEST_F(ManifestLogRecoveryTest, RefusesMissingMiddleDelta) {
   EXPECT_THROW(log.recover(optionsForSeed(7)), InputError);
 }
 
+// Only the names deltaPath writes count as deltas: a "<name>.delta.1x"
+// sibling is not delta 1 and recovery never reads it.
+TEST_F(ManifestLogRecoveryTest, IgnoresNonNumericDeltaSibling) {
+  const std::string want = populate(7, /*fullEvery=*/100);
+  std::ofstream(path_ + ".delta.1x") << "not a delta\n";
+  ManifestLog log(path_, 100);
+  auto eng = log.recover(optionsForSeed(7));
+  EXPECT_EQ(want, manifestOf(*eng));
+}
+
 TEST_F(ManifestLogRecoveryTest, RefusesCorruptedMiddleDelta) {
   populate(7, 100);
   const std::string victim = path_ + ".delta.2";

@@ -65,6 +65,8 @@ struct CheckFixture {
 const CheckFixture kCheckFixtures[] = {
     {"gpd-budget-charge", "src/detect/budget_bad.cpp",
      "src/detect/budget_good.cpp"},
+    {"gpd-budget-charge", "src/detect/scan_bad.cpp",
+     "src/detect/scan_good.cpp"},
     {"gpd-budget-charge", "src/detect/slice_bad.cpp",
      "src/detect/slice_good.cpp"},
     {"gpd-budget-charge", "src/lattice/level_bad.cpp",

@@ -449,28 +449,33 @@ int reportDetection(const std::string& label, const detect::Detection& det) {
   return det.outcome == detect::Outcome::Unknown ? 3 : 0;
 }
 
-// Parses "p:var" / "p:!var" terms into a conjunctive predicate, validating
-// process ranges and variable existence against the loaded trace.
+// Parses one "p:var" / "p:!var" term, checked against the loaded trace: the
+// process must exist and carry the variable. Malformed terms are the
+// *user's* input problem: rejected with an InputError pointing at the
+// offending token (exit 1), never silently folded into the usage text.
+LocalPredicate parseLiteral(const io::TraceFile& file,
+                            const std::string& term) {
+  const auto colon = term.find(':');
+  GPD_INPUT_CHECK(colon != std::string::npos,
+                  "term '" << term << "' is not of the form p:var");
+  const auto p = static_cast<ProcessId>(
+      integerIn(term.substr(0, colon), "term process", 0,
+                file.computation->processCount() - 1));
+  std::string var = term.substr(colon + 1);
+  const bool negated = !var.empty() && var[0] == '!';
+  if (negated) var = var.substr(1);
+  GPD_INPUT_CHECK(!var.empty(), "term '" << term << "' has no variable");
+  GPD_INPUT_CHECK(file.trace->has(p, var),
+                  "process " << p << " has no variable '" << var << "'");
+  return negated ? varFalse(p, var) : varTrue(p, var);
+}
+
+// One term per argv word: a conjunctive predicate.
 ConjunctivePredicate parseConjunctive(const io::TraceFile& file,
                                       const std::vector<std::string>& args) {
   ConjunctivePredicate pred;
   for (const std::string& term : args) {
-    const auto colon = term.find(':');
-    GPD_INPUT_CHECK(colon != std::string::npos,
-                    "term '" << term << "' is not of the form p:var");
-    const long long process = integerIn(term.substr(0, colon), "term process");
-    GPD_INPUT_CHECK(process >= 0 && process < file.computation->processCount(),
-                    "term '" << term << "' names process " << process
-                             << " but the trace has "
-                             << file.computation->processCount());
-    const auto p = static_cast<ProcessId>(process);
-    std::string var = term.substr(colon + 1);
-    const bool negated = !var.empty() && var[0] == '!';
-    if (negated) var = var.substr(1);
-    GPD_INPUT_CHECK(!var.empty(), "term '" << term << "' has no variable");
-    GPD_INPUT_CHECK(file.trace->has(p, var),
-                    "process " << p << " has no variable '" << var << "'");
-    pred.terms.push_back(negated ? varFalse(p, var) : varTrue(p, var));
+    pred.terms.push_back(parseLiteral(file, term));
   }
   return pred;
 }
@@ -507,31 +512,10 @@ int detectConj(const io::TraceFile& file, std::vector<std::string> args,
   return 0;
 }
 
-// Parses "p:var" / "p:!var". Malformed literals are the *user's* input
-// problem: rejected with an InputError pointing at the offending token
-// (exit 1), never silently folded into the usage text.
-LocalPredicate parseLiteral(const std::string& term) {
-  const auto colon = term.find(':');
-  GPD_INPUT_CHECK(colon != std::string::npos,
-                  "literal '" << term << "' is not of the form p:var");
-  LocalPredicate lit;
-  lit.process = static_cast<ProcessId>(integerIn(
-      term.substr(0, colon), "literal process", 0,
-      std::numeric_limits<ProcessId>::max()));
-  lit.var = term.substr(colon + 1);
-  lit.positive = true;
-  if (!lit.var.empty() && lit.var[0] == '!') {
-    lit.positive = false;
-    lit.var = lit.var.substr(1);
-  }
-  GPD_INPUT_CHECK(!lit.var.empty(),
-                  "literal '" << term << "' has no variable name");
-  return lit;
-}
-
 // Clauses are argv words; literals within a clause are comma-separated:
 //   gpdtool detect t.trace cnf 0:x,1:x 2:x,3:!x
-CnfPredicate parseCnfPredicate(const std::vector<std::string>& args) {
+CnfPredicate parseCnfPredicate(const io::TraceFile& file,
+                               const std::vector<std::string>& args) {
   CnfPredicate pred;
   for (const std::string& clauseSpec : args) {
     CnfClause clause;
@@ -542,7 +526,7 @@ CnfPredicate parseCnfPredicate(const std::vector<std::string>& args) {
           clauseSpec.substr(start, comma == std::string::npos
                                        ? std::string::npos
                                        : comma - start);
-      clause.push_back(parseLiteral(term));
+      clause.push_back(parseLiteral(file, term));
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
@@ -561,7 +545,7 @@ int detectCnf(const io::TraceFile& file, std::vector<std::string> args,
     args.erase(args.begin());
   }
   if (args.empty()) return usage();
-  const CnfPredicate pred = parseCnfPredicate(args);
+  const CnfPredicate pred = parseCnfPredicate(file, args);
   detect::Detector detector(*file.trace);
   detector.usePool(pool);
   detector.enableSlicing(!noSlice);
@@ -750,8 +734,8 @@ int planCmd(std::vector<std::string> args) {
                                       parseConjunctive(file, rest), modality);
   } else if (kind == "cnf") {
     if (rest.empty()) return usage();
-    report = analyze::planCnf(clocks, *file.trace, parseCnfPredicate(rest),
-                              modality);
+    report = analyze::planCnf(clocks, *file.trace,
+                              parseCnfPredicate(file, rest), modality);
   } else if (kind == "sum") {
     if (rest.size() != 3) return usage();
     report = analyze::planSum(clocks, *file.trace,

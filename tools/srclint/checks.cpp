@@ -37,8 +37,9 @@ const std::set<std::string>& kernelCalls() {
       "findSatisfyingCut",
       "decideDefinitely", "latticeStats", "detectExactSum", "definitelySum",
       "definitelySymmetric",
-      // CPDHB scan — one invocation per enumeration combination (Sec. 3.3)
-      "findConsistentSelection", "findConsistentSelectionImpl",
+      // the one elimination scan and CPDHB around it — one invocation per
+      // enumeration combination (Sec. 3.3)
+      "eliminationScan", "findConsistentSelection",
       // slicing kernels: the per-event linear-detector fixpoint and the
       // whole-slice builders (a loop around any of these walks the event
       // set or the sublattice and must stay budget-stoppable)
