@@ -78,16 +78,6 @@ void BM_SingularChainCover(benchmark::State& state) {
 }
 BENCHMARK(BM_SingularChainCover);
 
-void BM_SingularViaSat(benchmark::State& state) {
-  const Fixture& f = fixture();
-  const auto pred = f.singular();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        detect::detectSingularViaSat(f.clocks, f.trace, pred).cut.has_value());
-  }
-}
-BENCHMARK(BM_SingularViaSat);
-
 void BM_SumExtrema(benchmark::State& state) {
   const Fixture& f = fixture();
   const auto terms = f.terms();

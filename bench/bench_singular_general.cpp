@@ -15,7 +15,7 @@ int main() {
 
   Table table({"groups", "k", "events", "verdict", "lattice_cuts",
                "lattice_ms", "procEnum_combos", "procEnum_ms", "chain_combos",
-               "chain_ms", "sat_ms", "speedup_vs_lattice"});
+               "chain_ms", "speedup_vs_lattice"});
   Rng rng(2718);
 
   for (const int groups : {2, 3, 4, 5}) {
@@ -80,12 +80,7 @@ int main() {
       const double chainMs = bench::timeMs([&] {
         byChain = detect::detectSingularByChainCover(clocks, trace, pred);
       });
-      detect::SatEncodingResult bySat;
-      const double satMs = bench::timeMs([&] {
-        bySat = detect::detectSingularViaSat(clocks, trace, pred);
-      });
       GPD_CHECK(byProc.found == byChain.found);
-      GPD_CHECK(bySat.cut.has_value() == byChain.found);
       if (runLattice) GPD_CHECK(byChain.found == latticeFound);
 
       char speedup[16];
@@ -96,7 +91,6 @@ int main() {
                 runLattice ? bench::fmtMs(latticeMs) : std::string("-"),
                 byProc.combinationsTried, bench::fmtMs(procMs),
                 byChain.combinationsTried, bench::fmtMs(chainMs),
-                bench::fmtMs(satMs),
                 runLattice ? std::string(speedup) : std::string("inf"));
     }
   }
