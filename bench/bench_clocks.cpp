@@ -78,31 +78,6 @@ void BM_LeqViaReachability(benchmark::State& state) {
 }
 BENCHMARK(BM_LeqViaReachability);
 
-void BM_DirectDependencyBuild(benchmark::State& state) {
-  const Computation comp = makeComputation(8, 50);
-  for (auto _ : state) {
-    DirectDependencyClocks dd(comp);
-    benchmark::DoNotOptimize(dd.direct({0, 1}, 0));
-  }
-}
-BENCHMARK(BM_DirectDependencyBuild);
-
-void BM_DirectDependencyReconstruct(benchmark::State& state) {
-  const Computation comp = makeComputation(8, 50);
-  const DirectDependencyClocks dd(comp);
-  Rng rng(7);
-  std::vector<EventId> events;
-  for (int i = 0; i < 256; ++i) {
-    const ProcessId p = static_cast<ProcessId>(rng.index(8));
-    events.push_back({p, static_cast<int>(rng.index(comp.eventCount(p)))});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dd.reconstructClock(events[i++ & 255]));
-  }
-}
-BENCHMARK(BM_DirectDependencyReconstruct);
-
 void BM_LamportClocks(benchmark::State& state) {
   const Computation comp = makeComputation(8, 50);
   for (auto _ : state) {
