@@ -41,7 +41,6 @@ class ContextImpl final : public ProcessContext {
   void setVar(const std::string& name, std::int64_t value) override;
   std::int64_t getVar(const std::string& name) const override;
   Rng& rng() override;
-  const std::vector<int>& clock() const override;
 
  private:
   friend class Engine;
@@ -62,8 +61,6 @@ class Engine {
     GPD_CHECK(options.minDelay >= 1 && options.maxDelay >= options.minDelay);
     state_.resize(n_);
     changeLog_.resize(n_);
-    eventCount_.assign(n_, 1);  // the initial event
-    clock_.assign(n_, std::vector<int>(n_, 0));
     // Independent stream derived from the seed (not forked from rootRng_, so
     // enabling fault injection does not perturb the delay streams).
     lossRng_.reseed(options.seed ^ 0x5bf03635f0935bd1ULL);
@@ -95,18 +92,9 @@ class Engine {
       time_ = action.time;
       const ProcessId p = action.proc;
       const EventId event = builder_.appendEvent(p);
-      ++eventCount_[p];
       changeLog_[p].emplace_back();
       currentChanges_ = &changeLog_[p].back();
       currentEvent_ = event;
-      // Online Fidge–Mattern: merge the piggybacked send timestamp, then
-      // tick the own component.
-      if (!action.isTimer) {
-        for (int q = 0; q < n_; ++q) {
-          clock_[p][q] = std::max(clock_[p][q], action.message.senderClock[q]);
-        }
-      }
-      clock_[p][p] = event.index;
       ContextImpl ctx(*this, p, /*allowSend=*/true);
       if (action.isTimer) {
         programs_[p]->onTimer(ctx, action.timerTag);
@@ -175,7 +163,7 @@ class Engine {
       clock = action.time;
     }
     action.proc = to;
-    action.message = {type, a, b, from, clock_[from]};
+    action.message = {type, a, b, from};
     action.sendEvent = currentEvent_;
     enqueue(std::move(action));
   }
@@ -230,8 +218,6 @@ class Engine {
   std::uint64_t nextSeq_ = 0;
   std::int64_t time_ = 0;
   EventId currentEvent_;
-  std::vector<int> eventCount_;
-  std::vector<std::vector<int>> clock_;     // per-process Fidge–Mattern clock
   std::vector<std::int64_t> channelClock_;  // fifo mode: last delivery time
 
   // Per process: map of current variable values, and per-event change lists.
@@ -266,10 +252,6 @@ std::int64_t ContextImpl::getVar(const std::string& name) const {
 }
 
 Rng& ContextImpl::rng() { return engine_->procRng_[proc_]; }
-
-const std::vector<int>& ContextImpl::clock() const {
-  return engine_->clock_[proc_];
-}
 
 }  // namespace
 

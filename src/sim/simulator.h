@@ -31,11 +31,6 @@ struct SimMessage {
   std::int64_t a = 0;
   std::int64_t b = 0;
   ProcessId from = -1;  // filled in by the simulator
-  // Fidge–Mattern timestamp of the send event, piggybacked by the engine on
-  // every message (component q = index of the last event of process q in the
-  // sender's causal history). This is how real monitored systems ship
-  // causality, and what the in-simulation checker consumes.
-  std::vector<int> senderClock;
 };
 
 // Handed to Program callbacks; valid only during the callback.
@@ -61,10 +56,6 @@ class ProcessContext {
 
   // Per-process deterministic randomness.
   virtual Rng& rng() = 0;
-
-  // The process's current vector clock (updated before the callback runs, so
-  // during onMessage it already includes the received message's history).
-  virtual const std::vector<int>& clock() const = 0;
 };
 
 // Per-process behavior. One instance per process.

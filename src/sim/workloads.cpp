@@ -41,7 +41,6 @@ class TokenRingProcess final : public Program {
       case kRogueEnter:
         // The bug: enters the critical section without holding a token.
         ctx.setVar("cs", ctx.getVar("cs") + 1);
-        notifyEntry(ctx);
         ctx.schedule(kRogueExit, 6);
         break;
       case kRogueExit:
@@ -64,14 +63,7 @@ class TokenRingProcess final : public Program {
  private:
   void enterCs(ProcessContext& ctx) {
     ctx.setVar("cs", ctx.getVar("cs") + 1);
-    notifyEntry(ctx);
     ctx.schedule(kExitCs, 1 + static_cast<int>(ctx.rng().index(4)));
-  }
-
-  void notifyEntry(ProcessContext& ctx) {
-    if (opt_.notifyChecker >= 0) {
-      ctx.send(opt_.notifyChecker, kCsNotification);
-    }
   }
 
   void forwardToken(ProcessContext& ctx) {
@@ -650,17 +642,11 @@ SimResult tokenRing(const TokenRingOptions& options) {
   GPD_CHECK(options.tokens >= 0 && options.tokens <= options.processes);
   std::vector<std::unique_ptr<Program>> programs;
   for (ProcessId p = 0; p < options.processes; ++p) {
-    programs.push_back(makeTokenRingProcess(options, p));
+    programs.push_back(std::make_unique<TokenRingProcess>(options, p));
   }
   SimOptions sim;
   sim.seed = options.seed;
   return runSimulation(sim, std::move(programs));
-}
-
-std::unique_ptr<Program> makeTokenRingProcess(const TokenRingOptions& options,
-                                              ProcessId self) {
-  GPD_CHECK(self >= 0 && self < options.processes);
-  return std::make_unique<TokenRingProcess>(options, self);
 }
 
 SimResult ricartAgrawala(const RicartAgrawalaOptions& options) {

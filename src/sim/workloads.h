@@ -31,21 +31,9 @@ struct TokenRingOptions {
   int dropTokenAtHop = -1;     // -1: disabled
   // Bug: the token is duplicated on this hop count.
   int duplicateTokenAtHop = -1;
-  // When ≥ 0: send a notification message (type kCsNotification) to this
-  // process id on every critical-section entry — the hook the in-simulation
-  // checker (monitor/insim.h) attaches to.
-  ProcessId notifyChecker = -1;
 };
 
-// Message type of the CS-entry notifications sent when notifyChecker ≥ 0.
-inline constexpr int kCsNotification = 100;
-
 SimResult tokenRing(const TokenRingOptions& options);
-
-// One ring member, for embedding into larger systems (e.g. ring + checker);
-// `self` must be < options.processes.
-std::unique_ptr<Program> makeTokenRingProcess(const TokenRingOptions& options,
-                                              ProcessId self);
 
 // --- Ricart–Agrawala mutual exclusion ---------------------------------------
 // The classical permission-based algorithm: a requester broadcasts a
