@@ -30,18 +30,6 @@ bool VariableTrace::has(ProcessId p, std::string_view name) const {
   return vars_[p].find(std::string(name)) != vars_[p].end();
 }
 
-VariableTrace VariableTrace::rebindTo(const Computation& other) const {
-  GPD_CHECK_MSG(other.processCount() == comp_->processCount(),
-                "rebind target has a different process count");
-  for (ProcessId p = 0; p < comp_->processCount(); ++p) {
-    GPD_CHECK_MSG(other.eventCount(p) == comp_->eventCount(p),
-                  "rebind target has a different event count on p" << p);
-  }
-  VariableTrace out(other);
-  out.vars_ = vars_;
-  return out;
-}
-
 std::vector<std::string> VariableTrace::variableNames(ProcessId p) const {
   GPD_CHECK(p >= 0 && p < comp_->processCount());
   std::vector<std::string> names;

@@ -38,12 +38,6 @@ class VariableTrace {
   // Names of the variables defined on process p, sorted (deterministic).
   std::vector<std::string> variableNames(ProcessId p) const;
 
-  // A copy of this trace bound to `other`, which must have the same shape
-  // (process count and per-process event counts). Used by predicate control:
-  // added synchronization edges change the order but not the events, so the
-  // variable histories carry over verbatim.
-  VariableTrace rebindTo(const Computation& other) const;
-
   std::int64_t value(ProcessId p, std::string_view name, int eventIndex) const;
 
   std::int64_t valueAtCut(const Cut& cut, ProcessId p,
