@@ -163,6 +163,45 @@ TEST(BudgetTest, CancelObservedImmediatelyByCombinationCharge) {
   EXPECT_EQ(b.reason(), StopReason::Cancelled);
 }
 
+// A charge that fails on a poll (cancel token or passed deadline) leaves
+// the progress counters as they were, like a charge refused by a limit.
+TEST(BudgetTest, FailedCombinationChargeIsNotCounted) {
+  CancelToken cancel;
+  cancel.requestCancel();
+  Budget cancelled(BudgetLimits{}, &cancel);
+  EXPECT_FALSE(cancelled.chargeCombination());
+  EXPECT_EQ(cancelled.reason(), StopReason::Cancelled);
+  EXPECT_EQ(cancelled.progress().combinationsTried, 0u);
+
+  BudgetLimits limits;
+  limits.deadlineMillis = 1;
+  limits.maxCombinations = 10;
+  Budget late(limits);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(late.chargeCombination());
+  EXPECT_EQ(late.reason(), StopReason::Deadline);
+  EXPECT_EQ(late.progress().combinationsTried, 0u);
+  EXPECT_EQ(late.remainingCombinations(), 10u);
+}
+
+TEST(BudgetTest, FailedCutBatchIsNotCounted) {
+  CancelToken cancel;
+  cancel.requestCancel();
+  Budget cancelled(BudgetLimits{}, &cancel);
+  EXPECT_FALSE(cancelled.chargeCuts(Budget::kPollPeriod));
+  EXPECT_EQ(cancelled.reason(), StopReason::Cancelled);
+  EXPECT_EQ(cancelled.progress().cutsVisited, 0u);
+
+  BudgetLimits limits;
+  limits.deadlineMillis = 1;
+  Budget late(limits);
+  EXPECT_TRUE(late.chargeCuts(3));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(late.chargeCuts(Budget::kPollPeriod));
+  EXPECT_EQ(late.reason(), StopReason::Deadline);
+  EXPECT_EQ(late.progress().cutsVisited, 3u);
+}
+
 TEST(BudgetTest, CanBoundExplorationReflectsStoppableLimits) {
   EXPECT_FALSE(Budget().canBoundExploration());
 

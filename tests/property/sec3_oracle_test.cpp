@@ -14,9 +14,7 @@
 //    each without a pool and with 2 and 8 threads. found, witness, cut,
 //    combinationsTried, combinationsTotal, complete, the budget's stop
 //    reason and its combination count must equal the reference's; without
-//    a pool the comparison count must too. (Under the cancelled token,
-//    pool workers that race the stop each count one failed charge, so
-//    there only the stop reason is compared for the pooled runs.)
+//    a pool the comparison count must too.
 // 2. CPDSC: 200 seeded receive-ordered and send-ordered grouped
 //    computations. Verdict, witness and cut of both detectSingularSpecialCase
 //    forms must equal the reference scan's.
@@ -444,13 +442,9 @@ TEST(Sec3OracleTest, OdometerMatchesTheSequentialLoop) {
           if (refPtr != nullptr) {
             ASSERT_NE(ptr, nullptr);
             EXPECT_EQ(ptr->reason(), refPtr->reason()) << label;
-            // Workers racing a cancelled token each count one failed
-            // charge; every count-based stop must match exactly.
-            if (pool == nullptr || !bc.cancelled) {
-              EXPECT_EQ(ptr->progress().combinationsTried,
-                        refPtr->progress().combinationsTried)
-                  << label;
-            }
+            EXPECT_EQ(ptr->progress().combinationsTried,
+                      refPtr->progress().combinationsTried)
+                << label;
           }
         }
       }
