@@ -180,10 +180,8 @@ DpllResult solveDpllBudgeted(const Cnf& cnf, control::Budget* budget) {
   return result;
 }
 
-std::optional<Assignment> solveDpll(const Cnf& cnf, DpllStats* stats) {
-  DpllResult result = solveDpllBudgeted(cnf, nullptr);
-  if (stats) *stats = result.stats;
-  return std::move(result.assignment);
+std::optional<Assignment> solveDpll(const Cnf& cnf) {
+  return solveDpllBudgeted(cnf, nullptr).assignment;
 }
 
 }  // namespace gpd::sat

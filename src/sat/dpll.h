@@ -31,7 +31,7 @@ struct DpllResult {
 
 // Returns a satisfying assignment, or nullopt if the formula is
 // unsatisfiable. Deterministic.
-std::optional<Assignment> solveDpll(const Cnf& cnf, DpllStats* stats = nullptr);
+std::optional<Assignment> solveDpll(const Cnf& cnf);
 
 // Budgeted variant: each branching decision charges one combination against
 // the budget (propagation between decisions polls the deadline cheaply).

@@ -53,12 +53,12 @@ TEST(DpllTest, UnitPropagationChain) {
   cnf.addClause({{0, true}});
   cnf.addClause({{0, false}, {1, true}});
   cnf.addClause({{1, false}, {2, true}});
-  DpllStats stats;
-  const auto a = solveDpll(cnf, &stats);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_TRUE((*a)[0] && (*a)[1] && (*a)[2]);
-  EXPECT_EQ(stats.decisions, 0);  // fully determined by propagation
-  EXPECT_GE(stats.propagations, 3);
+  const DpllResult res = solveDpllBudgeted(cnf, nullptr);
+  ASSERT_TRUE(res.assignment.has_value());
+  const Assignment& a = *res.assignment;
+  EXPECT_TRUE(a[0] && a[1] && a[2]);
+  EXPECT_EQ(res.stats.decisions, 0);  // fully determined by propagation
+  EXPECT_GE(res.stats.propagations, 3);
 }
 
 TEST(DpllTest, PigeonholeTwoIntoOneUnsat) {
